@@ -71,10 +71,6 @@ MAX_TELEMETRY_OVERHEAD = 0.02
 #: speed/accuracy trade, gated in the same job as the throughput floors).
 MAX_LIVE_SAMPLING_ERROR = 0.03
 
-#: Floor for the warm persistent pool's advantage over a per-call pool on
-#: the ``engine_dispatch`` scenario (the warm-pool engine's contract).
-MIN_DISPATCH_SPEEDUP = 2.0
-
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -356,17 +352,9 @@ def _scenario_engine_dispatch() -> Tuple[int, Callable[[], float], Callable]:
     never shortcut the compute: every repeat is a genuinely cold slice
     through a genuinely warm pool.
 
-    The ``dispatch_speedup_vs_per_call`` extra interleaves best-of-two
-    disjoint slices through the warm pool and through a
-    ``pool="per-call"`` engine (fresh process pool per call — the
-    pre-warm-pool behaviour), so both sides of the ratio are sampled
-    back-to-back under the same ambient load; the CI perf gate holds
-    it at >= 2x.
-
-    Parent-side model caches are cleared up front: forked per-call
-    workers inherit whatever earlier scenarios warmed in this process,
-    so without the reset the per-call number would depend on suite
-    order instead of on what a fresh ``--pool per-call`` run pays.
+    Parent-side model caches are cleared up front: forked workers inherit
+    whatever earlier scenarios warmed in this process, so without the
+    reset the number would depend on suite order.
     """
     import gc
 
@@ -394,28 +382,18 @@ def _scenario_engine_dispatch() -> Tuple[int, Callable[[], float], Callable]:
         for name in designs
     ]
     points_per_slice = 24
-    persistent = Engine(jobs=jobs, store=None, slab_size=8, pool="persistent")
+    engine = Engine(jobs=jobs, store=None, slab_size=8)
     # Warm one slice per design so every worker has built every design's
     # interval model before measurement; measured slices then differ only
     # by thread counts, and repeats have uniform cost.
     for _ in designs:
         warm = slices.pop(0)
-        n = DesignSpaceStudy(engine=persistent).prefetch(
+        n = DesignSpaceStudy(engine=engine).prefetch(
             [warm[0]], "heterogeneous", warm[1]
         )
         assert n == points_per_slice, f"expected 24-point slices, got {n}"
-    best = [float("inf")]
 
     def run() -> float:
-        name, counts = slices.pop(0)
-        study = DesignSpaceStudy(engine=persistent)
-        start = time.perf_counter()
-        study.prefetch([name], "heterogeneous", counts)
-        seconds = time.perf_counter() - start
-        best[0] = min(best[0], seconds)
-        return seconds
-
-    def _timed_slice(engine: "Engine") -> float:
         name, counts = slices.pop(0)
         study = DesignSpaceStudy(engine=engine)
         start = time.perf_counter()
@@ -423,21 +401,8 @@ def _scenario_engine_dispatch() -> Tuple[int, Callable[[], float], Callable]:
         return time.perf_counter() - start
 
     def extras() -> Dict:
-        per_call = Engine(jobs=jobs, store=None, slab_size=8, pool="per-call")
-        persist_best = best[0]
-        per_call_best = float("inf")
-        for _ in range(2):
-            persist_best = min(persist_best, _timed_slice(persistent))
-            per_call_best = min(per_call_best, _timed_slice(per_call))
-        per_call.shutdown()
-        persistent.shutdown()
-        speedup = per_call_best / persist_best if persist_best > 0 else 0.0
-        return {
-            "per_call_points_per_second": round(
-                points_per_slice / per_call_best, 1
-            ),
-            "dispatch_speedup_vs_per_call": round(speedup, 3),
-        }
+        engine.shutdown()  # after the last repeat; nothing to report
+        return {}
 
     return points_per_slice, run, extras
 
@@ -918,17 +883,14 @@ def check_regressions(
     failure message names the offending scenario and quotes the exact
     throughput delta so the CI log alone identifies the culprit.
     Scenarios without a baseline entry are skipped — they cannot regress
-    against nothing.  Four accuracy/latency checks ride along,
+    against nothing.  Three accuracy/latency checks ride along,
     independent of any baseline: a ``cpi_error`` above
     :data:`MAX_LIVE_SAMPLING_ERROR` fails (the live-sampling scenario's
     accuracy contract — a throughput win bought with estimator error is
     still a failure), a ``telemetry_overhead`` above
-    :data:`MAX_TELEMETRY_OVERHEAD` fails, a
-    ``dispatch_speedup_vs_per_call`` below :data:`MIN_DISPATCH_SPEEDUP`
-    fails (the warm-pool engine must keep beating a per-call pool), and
-    a recorded e2e p95 more than ``1 + max_regression`` above the
-    baseline's fails.  Returns an empty list when everything is within
-    bounds.
+    :data:`MAX_TELEMETRY_OVERHEAD` fails, and a recorded e2e p95 more
+    than ``1 + max_regression`` above the baseline's fails.  Returns an
+    empty list when everything is within bounds.
     """
     if not 0.0 < max_regression < 1.0:
         raise ValueError(
@@ -960,12 +922,6 @@ def check_regressions(
             failures.append(
                 f"{name}: telemetry overhead {overhead:.1%} exceeds the "
                 f"{MAX_TELEMETRY_OVERHEAD:.0%} budget"
-            )
-        dispatch = entry.get("dispatch_speedup_vs_per_call")
-        if dispatch is not None and dispatch < MIN_DISPATCH_SPEEDUP:
-            failures.append(
-                f"{name}: warm persistent pool is only {dispatch:.2f}x a "
-                f"per-call pool (floor: {MIN_DISPATCH_SPEEDUP:.1f}x)"
             )
         base_latency = (baseline or {}).get("latency", {}).get(name) or {}
         base_p95 = (base_latency.get("e2e") or {}).get("p95")

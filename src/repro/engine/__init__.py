@@ -14,15 +14,13 @@ evaluation into explicit work units and makes both kinds of reuse cheap:
   content-addressed JSON store with atomic writes, schema versioning and
   corruption tolerance, plus :class:`KeyedCache` for in-process memoization
   under the same key scheme;
-* :mod:`repro.engine.backends` — the physical record layouts behind the
-  store: one-file-per-record directories (default) or sharded sqlite
-  databases (``--store-backend sqlite``, better under concurrent writers
-  such as the serve daemon);
+* :mod:`repro.engine.backends` — the physical record layout behind the
+  store: one JSON file per record, in shard directories;
 * :mod:`repro.engine.executor` — :class:`ParallelExecutor` (a persistent
-  :class:`WorkerPool` by default, with a per-call process pool mode and a
-  bit-identical serial fallback) and :class:`Engine`, the facade that
-  checks the store in one batched lookup, computes misses in parallel and
-  streams results back in deterministic order as workers finish;
+  :class:`WorkerPool`, with a bit-identical serial fallback) and
+  :class:`Engine`, the facade that checks the store in one batched
+  lookup, computes misses in parallel and streams results back in
+  deterministic order as workers finish;
 * :mod:`repro.engine.stats` — :class:`EngineStats`: per-phase wall time,
   worker utilization, cache hit rates and fault accounting;
 * :mod:`repro.engine.faults` — deterministic fault injection
@@ -38,9 +36,10 @@ free when off.
 
 Failures are isolated per unit: a crashing unit yields a structured
 :class:`UnitFailure` (with configurable retries, exponential backoff and a
-per-unit timeout) instead of poisoning its chunk, a dead worker's chunk is
-re-executed serially, and an unwritable cache directory degrades the store
-to in-memory caching with a warning instead of aborting the run.
+per-unit timeout) instead of poisoning its slab, a dead worker is
+respawned and its unit re-executed in the parent, and an unwritable cache
+directory degrades the store to in-memory caching with a warning instead
+of aborting the run.
 
 Typical use::
 
@@ -53,15 +52,8 @@ Typical use::
     print(engine.stats.formatted())
 """
 
-from repro.engine.backends import (
-    BACKEND_NAMES,
-    DirectoryBackend,
-    SqliteBackend,
-    StoreIOError,
-    make_backend,
-)
+from repro.engine.backends import DirectoryBackend
 from repro.engine.executor import (
-    POOL_MODES,
     Engine,
     EngineFailureError,
     ParallelExecutor,
@@ -87,7 +79,6 @@ __all__ = [
     "EngineFailureError",
     "ParallelExecutor",
     "WorkerPool",
-    "POOL_MODES",
     "UnitOutcome",
     "UnitTimeoutError",
     "UnitFailure",
@@ -95,11 +86,7 @@ __all__ = [
     "ResultStore",
     "StoreStats",
     "KeyedCache",
-    "BACKEND_NAMES",
     "DirectoryBackend",
-    "SqliteBackend",
-    "StoreIOError",
-    "make_backend",
     "WorkUnit",
     "SlabUnit",
     "evaluate_work_unit",

@@ -1,50 +1,21 @@
-"""Record-I/O backends behind :class:`~repro.engine.store.ResultStore`.
+"""Record I/O behind :class:`~repro.engine.store.ResultStore`.
 
 The store facade owns policy — record schema/validation, corruption
-handling, degradation to in-memory caching, stats, run summaries — while a
-backend owns the physical record I/O.  Two implementations:
-
-* :class:`DirectoryBackend` — the original layout: one JSON file per
-  record under ``<cache-dir>/v<schema>/<shard>/<key>.json`` with atomic
-  temp-file writes.  Zero setup, human-greppable, but concurrent writers
-  contend on directory metadata and every record costs an inode.
-* :class:`SqliteBackend` — records in :data:`SQLITE_SHARDS` sqlite
-  databases under ``<cache-dir>/v<schema>-sqlite/``, sharded by key
-  prefix.  WAL journaling gives single-writer-per-shard concurrency
-  without directory-entry contention, which is what the serve daemon's
-  concurrent clients need; sharding keeps writer contention from
-  serializing across the whole keyspace.
-
-Backends translate their native failures into :class:`StoreIOError`
-(an ``OSError``), so the store's degradation logic stays backend-agnostic.
+handling, degradation to in-memory caching, stats, run summaries — while
+:class:`DirectoryBackend` owns the physical record I/O: one JSON file per
+record under ``<cache-dir>/v<schema>/<shard>/<key>.json`` with atomic
+temp-file writes.  Zero setup and human-greppable.  Failures surface as
+``OSError``, which is what the store's degradation logic catches.
 """
 
 import os
-import sqlite3
 import tempfile
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
-
-#: Number of sqlite shard databases (first hex character of the key).
-SQLITE_SHARDS = 16
-
-#: Milliseconds a shard connection waits on a locked database before
-#: failing the operation (and degrading the store) instead of hanging.
-SQLITE_BUSY_TIMEOUT_MS = 5000
-
-#: Known backend names, as accepted by ``--store-backend``.
-BACKEND_NAMES = ("dir", "sqlite")
-
-
-class StoreIOError(OSError):
-    """A backend failed to read or write a record (store degrades)."""
 
 
 class DirectoryBackend:
     """One JSON file per record, sharded by key prefix, atomic writes."""
-
-    name = "dir"
 
     def __init__(self, cache_dir: Path, schema_version: int):
         self.cache_dir = cache_dir
@@ -62,42 +33,16 @@ class DirectoryBackend:
         except OSError:
             return None
 
-    def write_record(self, key: str, text: str) -> None:
-        """Atomic write: temp file in the shard directory, then replace."""
-        path = self.record_path(key)
-        tmp_name = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent
-            )
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp_name, path)
-            tmp_name = None
-        finally:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-
     def read_records(self, keys: List[str]) -> Dict[str, Optional[str]]:
-        """Batched :meth:`read_record`: one ``{key: text-or-None}`` map.
-
-        Per-file reads cannot be truly batched on a directory layout, but
-        funnelling the loop through one call keeps the store's batch path
-        backend-agnostic (the sqlite backend turns it into per-shard
-        ``SELECT ... IN`` queries).
-        """
+        """Batched :meth:`read_record`: one ``{key: text-or-None}`` map."""
         return {key: self.read_record(key) for key in keys}
 
     def write_records(self, items: List[Tuple[str, str]]) -> None:
-        """Batched :meth:`write_record` with grouped directory setup.
+        """Atomic record writes: temp file in the shard directory, then
+        replace, so readers never see a torn record.
 
         The shard directories for the whole batch are created up front so
-        each record write is just mkstemp + write + replace; every write
-        stays individually atomic (readers never see a torn record).
+        each record write is just mkstemp + write + replace.
         """
         for parent in {self.record_path(key).parent for key, _ in items}:
             parent.mkdir(parents=True, exist_ok=True)
@@ -216,241 +161,3 @@ class DirectoryBackend:
             "empty_shards": len(self.empty_shard_dirs()),
         }
 
-    def close(self) -> None:
-        pass
-
-
-class SqliteBackend:
-    """Records in sharded sqlite databases (WAL) under the cache dir.
-
-    Each shard holds one table::
-
-        CREATE TABLE records (
-            key    TEXT PRIMARY KEY,
-            record TEXT NOT NULL,
-            mtime  REAL NOT NULL
-        )
-
-    The shard of a key is its first hex character, so concurrent writers
-    touching different key ranges land on different database files and a
-    writer lock never spans the whole keyspace.
-    """
-
-    name = "sqlite"
-
-    def __init__(self, cache_dir: Path, schema_version: int):
-        self.cache_dir = cache_dir
-        self.root = cache_dir / f"v{schema_version}-sqlite"
-        self._connections: Dict[int, sqlite3.Connection] = {}
-
-    # -- connections ---------------------------------------------------- #
-
-    @staticmethod
-    def shard_of(key: str) -> int:
-        try:
-            return int(key[0], 16) % SQLITE_SHARDS
-        except (ValueError, IndexError):
-            return 0
-
-    def shard_path(self, shard: int) -> Path:
-        return self.root / f"shard-{shard:x}.db"
-
-    def _connect(self, shard: int, create: bool = True) -> Optional[sqlite3.Connection]:
-        conn = self._connections.get(shard)
-        if conn is not None:
-            return conn
-        path = self.shard_path(shard)
-        if not create and not path.exists():
-            return None
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            # check_same_thread=False: the serve daemon reads summaries on
-            # its event-loop thread while the dispatcher thread writes;
-            # sqlite serializes access internally at this isolation level.
-            conn = sqlite3.connect(str(path), check_same_thread=False)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute(f"PRAGMA busy_timeout={SQLITE_BUSY_TIMEOUT_MS}")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS records ("
-                "key TEXT PRIMARY KEY, record TEXT NOT NULL, mtime REAL NOT NULL)"
-            )
-            conn.commit()
-        except sqlite3.Error as exc:
-            raise StoreIOError(f"sqlite shard {path}: {exc}") from exc
-        self._connections[shard] = conn
-        return conn
-
-    def _shards_present(self) -> List[int]:
-        return [s for s in range(SQLITE_SHARDS) if self.shard_path(s).exists()]
-
-    # -- record I/O ----------------------------------------------------- #
-
-    def read_record(self, key: str) -> Optional[str]:
-        try:
-            conn = self._connect(self.shard_of(key), create=False)
-            if conn is None:
-                return None
-            row = conn.execute(
-                "SELECT record FROM records WHERE key = ?", (key,)
-            ).fetchone()
-        except (sqlite3.Error, StoreIOError):
-            return None
-        return row[0] if row else None
-
-    def write_record(self, key: str, text: str) -> None:
-        try:
-            conn = self._connect(self.shard_of(key))
-            with conn:
-                conn.execute(
-                    "INSERT INTO records(key, record, mtime) VALUES(?, ?, ?) "
-                    "ON CONFLICT(key) DO UPDATE SET record=excluded.record, "
-                    "mtime=excluded.mtime",
-                    (key, text, time.time()),
-                )
-        except sqlite3.Error as exc:
-            raise StoreIOError(f"sqlite write failed: {exc}") from exc
-
-    def read_records(self, keys: List[str]) -> Dict[str, Optional[str]]:
-        """Batched read: one ``SELECT ... WHERE key IN (...)`` per shard."""
-        out: Dict[str, Optional[str]] = {key: None for key in keys}
-        by_shard: Dict[int, List[str]] = {}
-        for key in keys:
-            by_shard.setdefault(self.shard_of(key), []).append(key)
-        for shard, shard_keys in by_shard.items():
-            try:
-                conn = self._connect(shard, create=False)
-                if conn is None:
-                    continue
-                placeholders = ",".join("?" * len(shard_keys))
-                rows = conn.execute(
-                    f"SELECT key, record FROM records WHERE key IN ({placeholders})",
-                    shard_keys,
-                ).fetchall()
-            except (sqlite3.Error, StoreIOError):
-                continue
-            for key, record in rows:
-                out[key] = record
-        return out
-
-    def write_records(self, items: List[Tuple[str, str]]) -> None:
-        """Batched write: one transaction (``executemany``) per shard.
-
-        This is where sqlite batching pays: a write-back of N records costs
-        one fsync per touched shard instead of one per record.
-        """
-        by_shard: Dict[int, List[Tuple[str, str, float]]] = {}
-        now = time.time()
-        for key, text in items:
-            by_shard.setdefault(self.shard_of(key), []).append((key, text, now))
-        try:
-            for shard, rows in by_shard.items():
-                conn = self._connect(shard)
-                with conn:
-                    conn.executemany(
-                        "INSERT INTO records(key, record, mtime) VALUES(?, ?, ?) "
-                        "ON CONFLICT(key) DO UPDATE SET record=excluded.record, "
-                        "mtime=excluded.mtime",
-                        rows,
-                    )
-        except sqlite3.Error as exc:
-            raise StoreIOError(f"sqlite batch write failed: {exc}") from exc
-
-    def delete_record(self, key: str) -> bool:
-        try:
-            conn = self._connect(self.shard_of(key), create=False)
-            if conn is None:
-                return False
-            with conn:
-                cursor = conn.execute(
-                    "DELETE FROM records WHERE key = ?", (key,)
-                )
-            return cursor.rowcount > 0
-        except (sqlite3.Error, StoreIOError):
-            return False
-
-    # -- maintenance ---------------------------------------------------- #
-
-    def sweep_debris(self) -> Dict[str, int]:
-        return {"tmp_files": 0, "empty_shards": 0}
-
-    def clear(self) -> int:
-        removed = 0
-        for shard in self._shards_present():
-            try:
-                conn = self._connect(shard, create=False)
-                if conn is None:
-                    continue
-                with conn:
-                    cursor = conn.execute("DELETE FROM records")
-                removed += cursor.rowcount
-            except (sqlite3.Error, StoreIOError):
-                pass
-        return removed
-
-    def prune(self, max_records: int) -> int:
-        stamped: List[Tuple[float, int, str]] = []
-        for shard in self._shards_present():
-            try:
-                conn = self._connect(shard, create=False)
-                if conn is None:
-                    continue
-                stamped.extend(
-                    (mtime, shard, key)
-                    for key, mtime in conn.execute(
-                        "SELECT key, mtime FROM records"
-                    )
-                )
-            except (sqlite3.Error, StoreIOError):
-                pass
-        if len(stamped) <= max_records:
-            return 0
-        stamped.sort()
-        removed = 0
-        for _mtime, shard, key in stamped[: len(stamped) - max_records]:
-            if self.delete_record(key):
-                removed += 1
-        return removed
-
-    def content_counts(self) -> Tuple[int, int]:
-        records = 0
-        total_bytes = 0
-        for shard in self._shards_present():
-            try:
-                conn = self._connect(shard, create=False)
-                if conn is None:
-                    continue
-                row = conn.execute(
-                    "SELECT COUNT(*), COALESCE(SUM(LENGTH(record)), 0) "
-                    "FROM records"
-                ).fetchone()
-            except (sqlite3.Error, StoreIOError):
-                continue
-            records += row[0]
-            total_bytes += row[1]
-        return records, total_bytes
-
-    def describe(self) -> Dict[str, int]:
-        return {
-            "orphan_tmp_files": 0,
-            "empty_shards": 0,
-            "sqlite_shards": len(self._shards_present()),
-        }
-
-    def close(self) -> None:
-        for conn in self._connections.values():
-            try:
-                conn.close()
-            except sqlite3.Error:
-                pass
-        self._connections.clear()
-
-
-def make_backend(name: str, cache_dir: Path, schema_version: int):
-    """Instantiate the backend called ``name`` ("dir" or "sqlite")."""
-    if name == "dir":
-        return DirectoryBackend(cache_dir, schema_version)
-    if name == "sqlite":
-        return SqliteBackend(cache_dir, schema_version)
-    raise ValueError(
-        f"unknown store backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
-    )

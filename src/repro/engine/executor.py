@@ -2,18 +2,13 @@
 
 :class:`ParallelExecutor` maps work units over a worker pool; ``jobs=1``
 short-circuits to a plain loop in the calling process — no pickling, no
-pool — which is bit-identical to the pre-engine serial path.  Two pool
-lifetimes (``pool=``):
-
-* ``persistent`` (default) — a lazily started :class:`WorkerPool` that
-  outlives ``map`` calls: workers keep imports, per-process study caches
-  and solver warm-start state across calls and across serve-daemon jobs.
-  Units dispatch one-at-a-time per worker and results stream back in
-  completion order; a dying worker is respawned alone and its unit healed
-  in the parent.
-* ``per-call`` — the original ``ProcessPoolExecutor`` per map with chunked
-  dispatch; a worker death (``BrokenProcessPool``) re-executes the lost
-  chunk serially in the parent and resumes the rest on a fresh pool.
+pool — which is bit-identical to the pre-engine serial path.  Otherwise
+units run on a lazily started :class:`WorkerPool` that outlives ``map``
+calls: workers keep imports, per-process study caches and solver
+warm-start state across calls and across serve-daemon jobs.  Units
+dispatch one-at-a-time per worker and results stream back in completion
+order; a dying worker is respawned alone and its unit healed in the
+parent.
 
 Failures are isolated per unit: every evaluation runs inside a guard that
 retries with exponential backoff (``retries``/``backoff``), enforces an
@@ -26,8 +21,8 @@ slot instead of poisoning its batch.
 key in one batched ``get_many``, compute only the misses (in parallel),
 stream the results back to the store in deterministic submission order as
 they complete (batched ``write_many`` flushes), and account for
-everything — including failures, retries, broken pools and pool
-lifecycle — in :class:`~repro.engine.stats.EngineStats`.
+everything — including failures, retries and pool lifecycle — in
+:class:`~repro.engine.stats.EngineStats`.
 """
 
 import dataclasses
@@ -38,8 +33,6 @@ import multiprocessing.connection
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence
 
@@ -55,16 +48,6 @@ from repro.engine.tasks import (
     payload_from_result,
     result_from_payload,
 )
-
-#: Chunks per worker when auto-sizing dispatch: small enough to balance
-#: load across heterogeneous unit costs, large enough to amortize IPC.
-_CHUNKS_PER_WORKER = 4
-
-#: Worker-pool lifetime modes: ``persistent`` keeps one warm pool for the
-#: executor's lifetime (reused across ``execute`` calls and serve jobs);
-#: ``per-call`` rebuilds a ``ProcessPoolExecutor`` for every map, the
-#: pre-warm-pool behaviour.
-POOL_MODES = ("persistent", "per-call")
 
 #: Ceiling on a single backoff sleep, whatever the retry count.
 _MAX_BACKOFF_SECONDS = 2.0
@@ -261,9 +244,8 @@ def _pool_worker_main(conn) -> None:
     ``(task_id, outcome)``.  The fault spec rides along with every task
     because a persistent worker may have forked *before* the parent
     installed ``$REPRO_FAULT_SPEC`` (see :func:`faults.sync_spec`).  The
-    loop runs in the worker's main thread, so SIGALRM unit timeouts arm
-    exactly as they do in per-call pool workers.  A ``None`` message (or a
-    closed pipe) is the shutdown signal.
+    loop runs in the worker's main thread, so SIGALRM unit timeouts arm.
+    A ``None`` message (or a closed pipe) is the shutdown signal.
     """
     faults.mark_worker_process()
     while True:
@@ -301,11 +283,11 @@ class _PoolWorker:
 class WorkerPool:
     """Persistent worker processes with completion-order dispatch.
 
-    Unlike the per-call ``ProcessPoolExecutor`` path, the pool outlives
-    ``run`` calls: workers keep their imports, their per-process study
-    cache (:mod:`repro.engine.tasks`) and the solver warm-start hints
-    inside each study, so the second sweep — or the next serve-daemon
-    job — skips interpreter startup and model construction entirely.
+    The pool outlives ``run`` calls: workers keep their imports, their
+    per-process study cache (:mod:`repro.engine.tasks`) and the solver
+    warm-start hints inside each study, so the second sweep — or the next
+    serve-daemon job — skips interpreter startup and model construction
+    entirely.
 
     Dispatch is one in-flight unit per worker over a dedicated duplex
     pipe; results surface in **completion order** through the caller's
@@ -316,9 +298,8 @@ class WorkerPool:
     Health is checked per wait: a worker that dies mid-unit (a ``kill``
     fault, an OOM kill) is **respawned alone** — sibling workers and their
     in-flight units are untouched — and the lost unit re-runs in the
-    parent via ``parent_guard``, mirroring the lost-chunk semantics of the
-    per-call path (kill-type faults are worker-only, so the parent
-    survives the very unit that killed the worker).
+    parent via ``parent_guard`` (kill-type faults are worker-only, so the
+    parent survives the very unit that killed the worker).
     """
 
     def __init__(self, jobs: int):
@@ -465,34 +446,23 @@ class ParallelExecutor:
     def __init__(
         self,
         jobs: int = 1,
-        chunksize: Optional[int] = None,
         retries: int = 0,
         backoff: float = 0.05,
         unit_timeout: Optional[float] = None,
-        pool: str = "persistent",
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if backoff < 0:
             raise ValueError(f"backoff must be >= 0, got {backoff}")
         if unit_timeout is not None and unit_timeout <= 0:
             raise ValueError(f"unit_timeout must be > 0, got {unit_timeout}")
-        if pool not in POOL_MODES:
-            raise ValueError(f"pool must be one of {POOL_MODES}, got {pool!r}")
         self.jobs = jobs
-        self.chunksize = chunksize
         self.retries = retries
         self.backoff = backoff
         self.unit_timeout = unit_timeout
-        #: Pool lifetime mode ("persistent" or "per-call").
-        self.pool = pool
         self._pool: Optional[WorkerPool] = None
-        #: Worker crashes survived so far (``BrokenProcessPool`` recoveries).
-        self.broken_pools = 0
 
     # -- persistent-pool surface ---------------------------------------- #
 
@@ -538,17 +508,15 @@ class ParallelExecutor:
 
         Never raises for a unit-level failure (the outcome carries a
         :class:`UnitFailure` instead), and survives worker deaths: the
-        persistent pool respawns the dead worker alone and heals its unit
-        in the parent; the per-call pool re-executes the lost chunk
-        serially and resumes the rest on a fresh ``ProcessPoolExecutor``.
+        pool respawns the dead worker alone and heals its unit in the
+        parent.
 
         ``observe`` is forwarded into the worker guard (see
         :func:`_guarded_evaluate`).  ``on_result(index, outcome)``, when
         given, fires once per unit as its outcome arrives — in submission
-        order on the serial and per-call paths, in **completion order** on
-        the persistent pool — always before ``progress(done_count)`` for
-        the same unit.  The returned list is in submission order either
-        way.
+        order on the serial path, in **completion order** on the pool —
+        always before ``progress(done_count)`` for the same unit.  The
+        returned list is in submission order either way.
         """
         units = list(units)
         guard = self._guard(observe)
@@ -564,68 +532,24 @@ class ParallelExecutor:
                 if progress is not None:
                     progress(len(outcomes))
             return outcomes
-        if self.pool == "persistent":
-            if self._pool is None:
-                self._pool = WorkerPool(self.jobs)
-            options = dict(
-                retries=self.retries,
-                backoff=self.backoff,
-                timeout=self.unit_timeout,
-                observe=observe,
-            )
-            done = [0]
+        if self._pool is None:
+            self._pool = WorkerPool(self.jobs)
+        options = dict(
+            retries=self.retries,
+            backoff=self.backoff,
+            timeout=self.unit_timeout,
+            observe=observe,
+        )
+        done = [0]
 
-            def deliver(index: int, outcome: UnitOutcome) -> None:
-                if on_result is not None:
-                    on_result(index, outcome)
-                done[0] += 1
-                if progress is not None:
-                    progress(done[0])
+        def deliver(index: int, outcome: UnitOutcome) -> None:
+            if on_result is not None:
+                on_result(index, outcome)
+            done[0] += 1
+            if progress is not None:
+                progress(done[0])
 
-            return self._pool.run(units, options, guard, deliver)
-        outcomes: List[UnitOutcome] = []
-        remaining = units
-        while remaining:
-            workers = min(self.jobs, len(remaining))
-            chunksize = self.chunksize or max(
-                1, -(-len(remaining) // (workers * _CHUNKS_PER_WORKER))
-            )
-            collected = 0
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers, initializer=faults.mark_worker_process
-                ) as pool:
-                    for outcome in pool.map(guard, remaining, chunksize=chunksize):
-                        index = len(outcomes)
-                        outcomes.append(outcome)
-                        collected += 1
-                        if on_result is not None:
-                            on_result(index, outcome)
-                        if progress is not None:
-                            progress(len(outcomes))
-                remaining = []
-            except BrokenProcessPool:
-                # A worker died mid-batch.  Results are yielded in chunk
-                # order, so everything past `collected` is unaccounted for:
-                # run the first lost chunk serially here (kill-type faults
-                # are worker-only, so the parent survives) and push the
-                # rest back through a fresh pool.
-                self.broken_pools += 1
-                TRACER.instant(
-                    "pool.broken", cat="engine", lost_units=len(remaining) - collected
-                )
-                METRICS.inc("engine.broken_pools")
-                remaining = remaining[collected:]
-                lost, remaining = remaining[:chunksize], remaining[chunksize:]
-                for unit in lost:
-                    index = len(outcomes)
-                    outcome = guard(unit)
-                    outcomes.append(outcome)
-                    if on_result is not None:
-                        on_result(index, outcome)
-                    if progress is not None:
-                        progress(len(outcomes))
-        return outcomes
+        return self._pool.run(units, options, guard, deliver)
 
 
 class _WritebackStream:
@@ -681,13 +605,16 @@ class _WritebackStream:
 
 
 class Engine:
-    """Store-backed, parallel, fault-tolerant evaluator of work units."""
+    """Store-backed, parallel, fault-tolerant evaluator of work units.
+
+    ``pool`` names the worker-pool lifetime; ``"persistent"`` is the only
+    one, and the keyword stays so callers that pass it keep working.
+    """
 
     def __init__(
         self,
         jobs: int = 1,
         store: Optional[ResultStore] = None,
-        chunksize: Optional[int] = None,
         retries: int = 0,
         backoff: float = 0.05,
         unit_timeout: Optional[float] = None,
@@ -696,31 +623,26 @@ class Engine:
     ):
         if slab_size is not None and slab_size < 1:
             raise ValueError(f"slab_size must be >= 1, got {slab_size}")
+        if pool != "persistent":
+            raise ValueError(f"pool must be 'persistent', got {pool!r}")
         #: Points per :class:`~repro.engine.tasks.SlabUnit` when dispatching
         #: store misses to workers; ``None`` keeps per-point dispatch.
         self.slab_size = slab_size
         self.executor = ParallelExecutor(
             jobs=jobs,
-            chunksize=chunksize,
             retries=retries,
             backoff=backoff,
             unit_timeout=unit_timeout,
-            pool=pool,
         )
         self.store = store
         self.stats = EngineStats(jobs=jobs)
         #: Optional :class:`repro.obs.ProgressLine` driven during compute.
         self.progress = None
-        self._broken_pools_seen = 0
         self._last_recovered = 0
 
     @property
     def jobs(self) -> int:
         return self.executor.jobs
-
-    @property
-    def pool(self) -> str:
-        return self.executor.pool
 
     def shutdown(self) -> None:
         """Stop the persistent worker pool (if warm); the engine stays
@@ -851,8 +773,6 @@ class Engine:
 
         recovered = self._last_recovered
         self._last_recovered = 0
-        broken = self.executor.broken_pools - self._broken_pools_seen
-        self._broken_pools_seen = self.executor.broken_pools
         self.stats.record_batch(
             total=len(units),
             hits=len(units) - len(misses),
@@ -862,7 +782,6 @@ class Engine:
             retried=retried,
             retry_attempts=retry_attempts,
             recovered=recovered,
-            broken_pools=broken,
         )
         self.stats.record_failures(failures)
         # Pool lifecycle counters are lifetime totals on the executor;
@@ -945,7 +864,7 @@ class Engine:
             """Fan one slab outcome out into its members' result slots.
 
             Runs as each slab completes (possibly out of submission order
-            on the persistent pool), so per-unit streaming write-back and
+            on the pool), so per-unit streaming write-back and
             progress see units the moment their slab lands.
             """
             piece = members[slab_index]

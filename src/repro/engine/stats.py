@@ -3,9 +3,9 @@
 One :class:`EngineStats` instance accumulates over an engine's lifetime
 (possibly many ``evaluate`` calls), so a figure regeneration or a benchmark
 session reports totals, not just the last batch.  Fault tolerance is part
-of the ledger: failed units, retries, serial recoveries and survived worker
-crashes (broken pools) are all counted, and the most recent failures are
-kept verbatim for ``last_run.json`` and the CLI failure summary.
+of the ledger: failed units, retries, serial recoveries and respawned
+workers are all counted, and the most recent failures are kept verbatim
+for ``last_run.json`` and the CLI failure summary.
 """
 
 import time
@@ -39,8 +39,6 @@ class EngineStats:
         self.retry_attempts = 0
         #: Units healed by the in-parent serial recovery pass.
         self.units_recovered = 0
-        #: Worker crashes survived (one per ``BrokenProcessPool`` recovery).
-        self.broken_pools = 0
         #: Persistent-pool lifecycle: cold pool starts, runs served by an
         #: already-warm pool, and individual workers respawned after dying.
         self.pool_starts = 0
@@ -82,7 +80,6 @@ class EngineStats:
         retried: int = 0,
         retry_attempts: int = 0,
         recovered: int = 0,
-        broken_pools: int = 0,
     ) -> None:
         self.units_total += total
         self.store_hits += hits
@@ -92,7 +89,6 @@ class EngineStats:
         self.units_retried += retried
         self.retry_attempts += retry_attempts
         self.units_recovered += recovered
-        self.broken_pools += broken_pools
 
     def record_failures(self, failures: Sequence) -> None:
         """Keep the structured details of the newest failures (capped)."""
@@ -143,7 +139,6 @@ class EngineStats:
             self.units_failed
             or self.units_retried
             or self.units_recovered
-            or self.broken_pools
             or self.worker_respawns
         )
 
@@ -164,7 +159,6 @@ class EngineStats:
             "units_retried": self.units_retried,
             "retry_attempts": self.retry_attempts,
             "units_recovered": self.units_recovered,
-            "broken_pools": self.broken_pools,
             "pool_starts": self.pool_starts,
             "pool_reuses": self.pool_reuses,
             "worker_respawns": self.worker_respawns,
@@ -205,7 +199,6 @@ class EngineStats:
                 f"{self.units_retried} retried "
                 f"(+{self.retry_attempts} attempt(s))  "
                 f"{self.units_recovered} recovered serially  "
-                f"{self.broken_pools} broken pool(s) survived  "
                 f"{self.worker_respawns} worker(s) respawned"
             )
         return "\n".join(lines)

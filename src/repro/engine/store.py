@@ -1,18 +1,13 @@
 """Persistent, content-addressed result store (plus in-process keyed cache).
 
-Record I/O goes through a pluggable backend (:mod:`repro.engine.backends`):
-the default ``dir`` backend keeps one JSON record per file, sharded by key
-prefix to keep directories small, and the ``sqlite`` backend keeps records
-in sharded WAL-mode sqlite databases so concurrent clients (the serve
-daemon's workload) stop contending on directory metadata::
+Record I/O goes through :class:`~repro.engine.backends.DirectoryBackend`:
+one JSON record per file, sharded by key prefix to keep directories small::
 
     <cache-dir>/
         last_run.json              # summary of the most recent engine run
-        v<schema>/                 # dir backend
+        v<schema>/
             ab/
                 ab12...ef.json     # {"schema": .., "key": .., "payload": ..}
-        v<schema>-sqlite/          # sqlite backend
-            shard-0.db ... shard-f.db
 
 Properties:
 
@@ -40,7 +35,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine import faults
-from repro.engine.backends import make_backend
+from repro.engine.backends import DirectoryBackend
 from repro.engine.keys import content_key
 from repro.obs import METRICS, TRACER
 from repro.util.io import atomic_write_json
@@ -98,17 +93,13 @@ class ResultStore:
     cross-run persistence is lost.
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[os.PathLike] = None,
-        backend: str = "dir",
-    ):
+    def __init__(self, cache_dir: Optional[os.PathLike] = None):
         self.cache_dir = (
             Path(cache_dir).expanduser() if cache_dir is not None else default_cache_dir()
         )
-        #: Record-I/O backend ("dir" or "sqlite"); the store keeps policy
-        #: (validation, degradation, stats) backend-agnostic.
-        self.backend = make_backend(backend, self.cache_dir, STORE_SCHEMA_VERSION)
+        #: Physical record I/O; the store keeps the policy (validation,
+        #: degradation, stats).
+        self.backend = DirectoryBackend(self.cache_dir, STORE_SCHEMA_VERSION)
         self.root = self.backend.root
         self.stats = StoreStats()
         self.degraded = False
@@ -139,7 +130,7 @@ class ResultStore:
     # ------------------------------------------------------------------ #
 
     def _path(self, key: str) -> Path:
-        """Disk path of a record (directory backend only)."""
+        """Disk path of a record."""
         return self.backend.record_path(key)
 
     def _decode_record(self, key: str, text: str) -> Optional[Dict[str, Any]]:
@@ -187,10 +178,9 @@ class ResultStore:
     def get_many(self, keys: List[str]) -> List[Optional[Dict[str, Any]]]:
         """Batched :meth:`get`: payloads (or None) aligned with ``keys``.
 
-        One backend round trip for every key not already in the in-memory
-        layer — on the sqlite backend that is one ``SELECT ... IN`` per
-        shard instead of a query per key.  Injected/real read faults
-        degrade a key to a miss exactly like :meth:`get`.
+        One backend call for every key not already in the in-memory
+        layer.  Injected/real read faults degrade a key to a miss exactly
+        like :meth:`get`.
         """
         out: List[Optional[Dict[str, Any]]] = [None] * len(keys)
         pending: List[Tuple[int, str]] = []
@@ -237,7 +227,7 @@ class ResultStore:
         record = {"schema": STORE_SCHEMA_VERSION, "key": key, "payload": payload}
         try:
             faults.inject_store_fault("write")
-            self.backend.write_record(key, json.dumps(record))
+            self.backend.write_records([(key, json.dumps(record))])
         except OSError as exc:
             self._degrade(f"write failed: {exc}")
             self._memory[key] = payload
@@ -248,13 +238,12 @@ class ResultStore:
         METRICS.inc("store.writes")
 
     def write_many(self, items: List[Tuple[str, Dict[str, Any]]]) -> None:
-        """Batched :meth:`put`: one backend transaction for the whole batch.
+        """Batched :meth:`put`: one backend call for the whole batch.
 
-        On the sqlite backend this is one transaction per touched shard;
-        on the directory backend the shard directories are pre-created once
-        and each record still lands via its own atomic replace.  A write
-        fault (injected or real) degrades the store and routes the affected
-        and remaining records to the in-memory fallback, same as ``put``.
+        The shard directories are pre-created once and each record still
+        lands via its own atomic replace.  A write fault (injected or real)
+        degrades the store and routes the affected and remaining records to
+        the in-memory fallback, same as ``put``.
         """
         staged: List[Tuple[str, Dict[str, Any], str]] = []
         for key, payload in items:
@@ -298,20 +287,7 @@ class ResultStore:
     # ------------------------------------------------------------------ #
 
     def _record_paths(self) -> List[Path]:
-        return self.backend.record_paths() if hasattr(
-            self.backend, "record_paths"
-        ) else []
-
-    def _orphan_tmp_paths(self) -> List[Path]:
-        """Leftover ``.tmp`` files from writers that died mid-write."""
-        return self.backend.orphan_tmp_paths() if hasattr(
-            self.backend, "orphan_tmp_paths"
-        ) else []
-
-    def _empty_shard_dirs(self) -> List[Path]:
-        return self.backend.empty_shard_dirs() if hasattr(
-            self.backend, "empty_shard_dirs"
-        ) else []
+        return self.backend.record_paths()
 
     def sweep_debris(self) -> Dict[str, int]:
         """Remove orphaned temp files and empty shard directories.
@@ -344,7 +320,6 @@ class ResultStore:
         records, total_bytes = self.backend.content_counts()
         summary = {
             "cache_dir": str(self.cache_dir),
-            "backend": self.backend.name,
             "schema_version": STORE_SCHEMA_VERSION,
             "records": records,
             "total_bytes": total_bytes,
@@ -358,15 +333,10 @@ class ResultStore:
     def status_dict(self) -> Dict[str, Any]:
         """Session stats plus degradation state (for run summaries)."""
         out = self.stats.as_dict()
-        out["backend"] = self.backend.name
         out["degraded"] = self.degraded
         out["degraded_reason"] = self.degraded_reason
         out["memory_records"] = len(self._memory)
         return out
-
-    def close(self) -> None:
-        """Release backend resources (sqlite connections); safe to re-open."""
-        self.backend.close()
 
     # ------------------------------------------------------------------ #
     # run summaries                                                       #

@@ -2,8 +2,8 @@
 
 One long-lived process owns one warm :class:`~repro.engine.executor.Engine`
 — process pool, persistent content-addressed
-:class:`~repro.engine.store.ResultStore` (dir or sqlite backend), and the
-interval tier's warm-start hints — and serves an async job API over
+:class:`~repro.engine.store.ResultStore`, and the interval tier's
+warm-start hints — and serves an async job API over
 newline-delimited JSON (:mod:`repro.serve.protocol`) on a unix socket or
 TCP port.  Every ``sweep``/``figure``/``point`` request that used to pay
 import, pool-spawn and store-open costs per CLI invocation instead rides
@@ -105,13 +105,9 @@ class ServeConfig:
     jobs: int = 1
     cache_dir: Optional[str] = None
     no_cache: bool = False
-    store_backend: str = "dir"
     retries: int = 1
     unit_timeout: Optional[float] = None
     slab_size: int = DEFAULT_SLAB_SIZE
-    #: Worker-pool lifetime ("persistent" keeps one warm pool across jobs;
-    #: "per-call" rebuilds a process pool per engine call).
-    pool: str = "persistent"
     quota: int = DEFAULT_QUOTA
     #: Terminal jobs retained for poll/wait; older ones are evicted so a
     #: long-lived daemon's job table stays bounded.
@@ -215,11 +211,7 @@ class SweepServer:
     def _build_engine(config: ServeConfig):
         from repro.engine import Engine, ResultStore
 
-        store = (
-            None
-            if config.no_cache
-            else ResultStore(config.cache_dir, backend=config.store_backend)
-        )
+        store = None if config.no_cache else ResultStore(config.cache_dir)
         # The server dispatches config.slab_size points per engine call;
         # the engine must split that batch across its workers, so its own
         # slab size is the per-worker share (otherwise one dispatch slab
@@ -234,7 +226,6 @@ class SweepServer:
             retries=config.retries,
             unit_timeout=config.unit_timeout,
             slab_size=engine_slab if engine_slab > 1 else None,
-            pool=config.pool,
         )
 
     # ------------------------------------------------------------------ #
@@ -350,9 +341,6 @@ class SweepServer:
         _LOG.info(
             f"serving on {self.bound_address}",
             jobs=self.engine.jobs,
-            backend=(
-                self.engine.store.backend.name if self.engine.store else "none"
-            ),
             slab_size=self.config.slab_size,
             quota=self.config.quota,
             http=self.http_address,
@@ -425,8 +413,6 @@ class SweepServer:
             self.http.stop()
             self.http = None
         self.engine.write_summary()
-        if self.engine.store is not None:
-            self.engine.store.close()
         # The drain guarantees nothing is in flight; stop the warm workers.
         self.engine.shutdown()
         from repro.experiments.context import set_engine

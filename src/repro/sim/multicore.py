@@ -269,8 +269,6 @@ class MulticoreSimulator:
         instructions_per_thread: int = 20_000,
         warmup_instructions: Optional[int] = None,
         max_cycles: int = 50_000_000,
-        sample_interval: Optional[int] = None,
-        sample_warmup: int = 600,
         sampling=None,
     ) -> SimulationResult:
         """Simulate ``threads`` for a fixed instruction budget each.
@@ -285,69 +283,38 @@ class MulticoreSimulator:
         throughput runs — rate metrics use per-thread IPC, so idling is
         equivalent and cheaper).
 
-        ``sample_interval`` switches to sampled simulation (see
-        :mod:`repro.sim.sampling`): per-thread periods of that many
-        instructions are simulated as a detailed window plus a
-        functionally-warmed fast-forward, with the skipped spans'
-        cycles reconstructed by an event-priced model fitted to the
-        measured windows; ``sample_warmup`` sizes the minimum detailed
-        window (``max(2 * warmup, interval // 4)``).  Reported CPI/IPC
-        become estimates (held within 3 % of full runs by the test suite
-        at the default knobs on single-thread validation workloads).
-
-        ``sampling`` is the newer front door: an ``int`` is a periodic
-        interval (same as ``sample_interval``), ``"live"`` (or a
+        ``sampling="live"`` (or a
         :class:`~repro.sim.sampling.LiveSamplingConfig`) switches to
-        adaptive live sampling — an online phase detector and error
-        controller size the detailed windows and fast-forward spans, so
-        there is no interval to tune.
+        adaptive live sampling (see :mod:`repro.sim.sampling`): an online
+        phase detector and error controller size the detailed windows and
+        the functionally-warmed fast-forward spans, whose cycles are
+        reconstructed by an event-priced model.  Reported CPI/IPC become
+        estimates.
         """
         live_config = None
         if sampling is not None:
-            if sample_interval is not None:
-                raise ValueError(
-                    "pass either sampling= or sample_interval=, not both"
-                )
             from repro.sim.sampling import LiveSamplingConfig
 
             if isinstance(sampling, LiveSamplingConfig):
                 live_config = sampling
             elif sampling == "live":
                 live_config = LiveSamplingConfig()
-            elif isinstance(sampling, int) and not isinstance(sampling, bool):
-                sample_interval = sampling
             else:
                 raise ValueError(
-                    f'sampling must be "live", an interval (int), or a '
-                    f"LiveSamplingConfig, got {sampling!r}"
+                    f'sampling must be None, "live" or a LiveSamplingConfig, '
+                    f"got {sampling!r}"
                 )
         hierarchy, cores = self.prepare(
             threads, instructions_per_thread, warmup_instructions
         )
-        if live_config is not None:
-            from repro.sim.sampling import execute_sampled_live
-
-            sampled, total_cycles, _diag = execute_sampled_live(
-                hierarchy, cores, live_config, max_cycles
-            )
-            hierarchy.publish_metrics()
-            return SimulationResult(
-                design_name=self.design.name,
-                thread_stats=tuple(
-                    (core_index, thread.stats)
-                    for core_index, thread in sampled
-                ),
-                total_cycles=total_cycles,
-                dram_mean_latency_ns=hierarchy.dram.stats.mean_latency_ns,
-                dram_requests=hierarchy.dram.stats.requests,
-            )
-        if sample_interval is None:
+        if live_config is None:
             return self.execute(hierarchy, cores, max_cycles)
-        from repro.sim.sampling import SamplingConfig, execute_sampled
+        # Imported at call time: replacing the module attribute (as a
+        # profiler's wrapper does) then covers this call too.
+        from repro.sim.sampling import execute_sampled_live
 
-        config = SamplingConfig(interval=sample_interval, warmup=sample_warmup)
-        sampled, total_cycles = execute_sampled(
-            hierarchy, cores, config, max_cycles
+        sampled, total_cycles, _diag = execute_sampled_live(
+            hierarchy, cores, live_config, max_cycles
         )
         hierarchy.publish_metrics()
         return SimulationResult(

@@ -1,12 +1,10 @@
-"""Sampled cycle-level simulation (Pac-Sim style periodic sampling).
+"""Live (adaptive) sampled cycle-level simulation, Pac-Sim style.
 
 Full cycle-level runs simulate every instruction in detail.  Sampled runs
-split each thread's instruction stream into periods of ``interval``
-instructions: a **detailed window** at the head of each period is simulated
-cycle by cycle on the real pipeline, and the remainder is **fast-forwarded
-with functional warming** — caches and branch predictors see every
-reference through the real access paths, but no cycles elapse and no
-timing state is touched.
+alternate a **detailed window**, simulated cycle by cycle on the real
+pipeline, with a span that is **fast-forwarded with functional warming** —
+caches and branch predictors see every reference through the real access
+paths, but no cycles elapse and no timing state is touched.
 
 Two properties make the estimate sharp:
 
@@ -35,38 +33,30 @@ Two properties make the estimate sharp:
   measured window totals exactly, and degrades gracefully to whole-window
   CPI extrapolation when a thread shows no stall-score variance.
 
-The initial trace warm-up prefix (cold-cache exclusion in full runs) is
-handled per policy: periodic sampling replaces it entirely by functional
-warming — same architectural effect at near-zero cost — while live
-sampling lets the prefix participate in the sampling loop at its natural
-rate, preserving the wall-clock staggering with which threads enter their
-measured regions (an accounting boundary keeps prefix cycles and events
-out of the estimate).  ``warmup`` sizes the minimum detailed window
-(``window = max(2 * warmup, interval // 4)``) so the fast-forward boundary
-(stale dependence ring, leftover in-flight ROB entries) is amortized over
-a long measured region.
+The initial trace warm-up prefix (cold-cache exclusion in full runs)
+participates in the sampling loop at its natural rate, preserving the
+wall-clock staggering with which threads enter their measured regions (an
+accounting boundary keeps prefix cycles and events out of the estimate).
+``warmup`` sizes the minimum detailed window (``max(2 * warmup,
+min_window)``) so the fast-forward boundary (stale dependence ring,
+leftover in-flight ROB entries) is amortized over a long measured region.
 
-Two sampling policies share this machinery:
-
-* **Periodic** (:class:`SamplingConfig`, :func:`execute_sampled`) — fixed
-  interval and window, chosen up front.  Predictable cost, and the mode
-  the accuracy contract in ``tests/test_sampling.py`` validates knobs for.
-* **Live** (:class:`LiveSamplingConfig`, :func:`execute_sampled_live`) —
-  Pac-Sim-style adaptive sampling: an online *phase detector* compares
-  each detailed window's architectural signature (CPI plus L2/LLC/DRAM
-  and mispredict rates per instruction) against a smoothed reference, and
-  a per-window *error controller* tracks how well the span model would
-  have predicted the window it just measured.  Stable phase and low
-  model error grow the fast-forward span geometrically; a phase change
-  or rising error collapses it, re-sampling the new behaviour
-  immediately.  No interval/warmup knobs to tune per workload — the run
-  spends detail where the trace actually changes.
+The policy (:class:`LiveSamplingConfig`, :func:`execute_sampled_live`) is
+adaptive: an online *phase detector* compares each detailed window's
+architectural signature (CPI plus L2/LLC/DRAM and mispredict rates per
+instruction) against a smoothed reference, and a per-window *error
+controller* tracks how well the span model would have predicted the
+window it just measured.  Stable phase and low model error grow the
+fast-forward span geometrically; a phase change or rising error collapses
+it, re-sampling the new behaviour immediately.  There are no
+interval/warmup knobs to tune per workload — the run spends detail where
+the trace actually changes.
 
 Sampling is an *approximation*: reported per-thread cycle counts are
-estimates (``tests/test_sampling.py`` holds CPI error against full
-simulation on the validation-tier workloads), and cache/mispredict
-counters cover only the detailed windows.  Use full runs when exact
-statistics matter; use sampling to make long validation sweeps cheap.
+estimates (``tests/test_live_sampling.py`` holds chip IPC error against
+full simulation on the validation mixes), and cache/mispredict counters
+cover only the detailed windows.  Use full runs when exact statistics
+matter.
 """
 
 import random
@@ -78,49 +68,12 @@ from repro.sim.core import PipelineCore, SimThread
 
 
 @dataclass(frozen=True)
-class SamplingConfig:
-    """Knobs for sampled simulation.
-
-    Parameters
-    ----------
-    interval:
-        Per-thread instructions in one sampling period (detailed window
-        plus fast-forwarded span).
-    warmup:
-        Sizes the minimum detailed window: the window is at least twice
-        this, so fast-forward boundary artifacts stay a small fraction of
-        every measured region.
-    """
-
-    interval: int
-    warmup: int = 150
-
-    def __post_init__(self) -> None:
-        if self.interval < 1:
-            raise ValueError(f"interval must be >= 1, got {self.interval}")
-        if self.warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
-        if self.window >= self.interval:
-            raise ValueError(
-                f"sampling interval {self.interval} leaves no room to "
-                f"fast-forward past the detailed window ({self.window}); "
-                "use a larger interval or a smaller warmup"
-            )
-
-    @property
-    def window(self) -> int:
-        """Detailed-window length: a quarter of the period, but at least
-        twice the warm-up so boundary artifacts are amortized."""
-        return max(2 * self.warmup, self.interval // 4, 1)
-
-
-@dataclass(frozen=True)
 class LiveSamplingConfig:
     """Knobs for live (adaptive) sampled simulation.
 
-    Unlike :class:`SamplingConfig` there is no per-workload interval to
-    tune: the controller starts cautious (``min_span``) and lets stable,
-    well-predicted behaviour earn longer fast-forwards.
+    There is no per-workload interval to tune: the controller starts
+    cautious (``min_span``) and lets stable, well-predicted behaviour earn
+    longer fast-forwards.
 
     Parameters
     ----------
@@ -218,7 +171,7 @@ class LiveSamplingConfig:
 
     @property
     def window(self) -> int:
-        """Detailed-window length (same shape as the periodic mode's)."""
+        """Base detailed-window length."""
         return max(2 * self.warmup, self.min_window, 1)
 
 
@@ -290,7 +243,7 @@ class _ThreadSampleState:
         budget: int,
         width: int,
         weights: Tuple[float, float, float, float],
-        boundary: int = 0,
+        boundary: int,
     ):
         self.budget = budget  # post-prefix instructions to account for
         self.width = width
@@ -572,78 +525,6 @@ def _fit_model(
     return _solve(windows, floor)
 
 
-def execute_sampled(
-    hierarchy: MemoryHierarchy,
-    cores: List[PipelineCore],
-    config: SamplingConfig,
-    max_cycles: int = 50_000_000,
-) -> Tuple[List[Tuple[int, SimThread]], int]:
-    """Run prepared cores in sampled mode.
-
-    Returns ``(threads, total_cycles)`` where ``threads`` flattens
-    ``(core_index, SimThread)`` in core order with each thread's ``stats``
-    rewritten to the sampled estimate: ``instructions`` is the full
-    post-prefix budget and ``cycles`` the estimated total, so
-    ``stats.ipc``/``stats.cpi`` are directly comparable to a full run.
-    """
-    window = config.window
-    ff_span = config.interval - window
-    states: Dict[int, _ThreadSampleState] = {}
-
-    # Phase 0: functional warming stands in for the trace warm-up prefix
-    # (its events are not part of the measured budget), and the full-run
-    # snapshot machinery is neutralized — sampling does its own
-    # detailed-window accounting.
-    for core in cores:
-        prefix = core.threads[0].warmup_instructions
-        if prefix:
-            core.functional_warm(prefix)
-        weights = _event_weights(core)
-        for thread in core.threads:
-            states[id(thread)] = _ThreadSampleState(
-                budget=thread.trace_len - thread.cursor,
-                width=core.core.width,
-                weights=weights,
-            )
-            thread._warm_snapshot = (0, 0, 0, {})
-
-    while True:
-        _run_window(cores, states, window, max_cycles)
-        # Keep the lockstep clock coherent across cores between phases.
-        clock = max(core.cycle for core in cores)
-        for core in cores:
-            core.cycle = clock
-        if all(
-            thread.cursor >= thread.trace_len
-            for core in cores
-            for thread in core.threads
-        ):
-            break
-        for core in cores:
-            counts = core.functional_warm(ff_span)
-            for thread, (warmed, l2, llc, dram, mispred) in zip(
-                core.threads, counts
-            ):
-                if warmed:
-                    state = states[id(thread)]
-                    state.spans.append(
-                        (warmed, state.stall_score(l2, llc, dram, mispred))
-                    )
-
-    flat: List[Tuple[int, SimThread]] = []
-    total_cycles = 1
-    for core in cores:
-        for thread in core.threads:
-            state = states[id(thread)]
-            stats = thread.stats
-            stats.instructions = state.budget
-            stats.cycles = state.estimated_cycles()
-            if stats.cycles > total_cycles:
-                total_cycles = stats.cycles
-            flat.append((core.core_index, thread))
-    return flat, total_cycles
-
-
 #: Relative-difference floors per signature component — CPI first, then
 #: L2/LLC/DRAM/mispredict rates per instruction.  A reference component
 #: below its floor is compared *at* the floor, so sparse-event shot noise
@@ -850,10 +731,13 @@ def execute_sampled_live(
 ) -> Tuple[List[Tuple[int, SimThread]], int, LiveSamplingDiagnostics]:
     """Run prepared cores in live (adaptive) sampled mode.
 
-    Same contract as :func:`execute_sampled` — returns flattened
-    ``(core_index, SimThread)`` pairs with estimated stats and the chip
-    cycle total — plus a :class:`LiveSamplingDiagnostics` describing what
-    the controller did.  Cores stay in lockstep: every round runs one
+    Returns ``(threads, total_cycles, diagnostics)``: ``threads``
+    flattens ``(core_index, SimThread)`` in core order with each thread's
+    ``stats`` rewritten to the sampled estimate (``instructions`` is the
+    full post-prefix budget and ``cycles`` the estimated total, so
+    ``stats.ipc``/``stats.cpi`` are directly comparable to a full run),
+    and ``diagnostics`` is a :class:`LiveSamplingDiagnostics` describing
+    what the controller did.  Cores stay in lockstep: every round runs one
     detailed window on all unfinished cores, then fast-forwards the whole
     chip by the *most cautious* thread's span (a thread entering a new
     phase pulls the chip back to detail with it, so cross-core contention
@@ -865,10 +749,10 @@ def execute_sampled_live(
     states: Dict[int, _ThreadSampleState] = {}
     controllers: Dict[int, LiveController] = {}
 
-    # The warm-up prefix is *not* skipped up front (as the periodic mode
-    # does): each thread crosses into its measured region at a different
-    # wall-clock time in a full run — fast threads drain entirely before
-    # slow threads' measured regions begin — and that staggering shapes
+    # The warm-up prefix is *not* skipped up front: each thread crosses
+    # into its measured region at a different wall-clock time in a full
+    # run — fast threads drain entirely before slow threads' measured
+    # regions begin — and that staggering shapes
     # every shared-resource interaction.  The prefix simply participates
     # in the live loop at its natural rate (windows train the model and
     # controller; spans may skip it once the model has earned trust), and
@@ -883,9 +767,8 @@ def execute_sampled_live(
                 boundary=thread.warmup_instructions,
             )
             controllers[id(thread)] = LiveController(config)
-            # The snapshot machinery stays live (unlike the periodic
-            # mode): it records the exact cycle each thread crosses its
-            # accounting boundary mid-window.
+            # The snapshot machinery stays live: it records the exact
+            # cycle each thread crosses its accounting boundary mid-window.
 
     rng = random.Random(config.jitter_seed)  # deterministic, reproducible
     n_threads = sum(len(core.threads) for core in cores)
@@ -1067,11 +950,11 @@ def _run_window_cycles(
     max_cycles: int,
 ) -> None:
     """Simulate one detailed window of ``span_cycles`` *cycles* on every
-    core — the live mode's window runner.
+    core.
 
-    Unlike :func:`_run_window`'s per-thread instruction quotas, every
-    core runs until the same bell rings, so no core ever freezes while
-    another finishes its quota.  Heterogeneous chips make this matter: a
+    Every core runs until the same bell rings — not to a per-thread
+    instruction quota — so no core ever freezes while another finishes
+    its quota.  Heterogeneous chips make this matter: a
     solo thread on a medium core clears an instruction quota several
     times faster than an SMT pair on a big core, and pausing it would
     distort every shared resource it competes for (LLC capacity, DRAM
@@ -1121,61 +1004,3 @@ def _run_window_cycles(
     for core in cores:
         for thread in core.threads:
             states[id(thread)].close_window(thread, core.cycle)
-
-
-def _run_window(
-    cores: List[PipelineCore],
-    states: Dict[int, _ThreadSampleState],
-    window: int,
-    max_cycles: int,
-) -> None:
-    """Simulate one detailed window on every core with unfinished threads.
-
-    A core leaves the window once each of its threads has dispatched
-    ``window`` instructions since the window started; a thread whose trace
-    drains mid-window keeps its core stepping until the ROB empties, so
-    the drain cycles are counted exactly as a full run would count them.
-    """
-    active: List[PipelineCore] = []
-    for core in cores:
-        pending = False
-        for thread in core.threads:
-            states[id(thread)].open_window(thread, core.cycle)
-            if thread.cursor < thread.trace_len or thread.rob:
-                pending = True
-        if pending:
-            active.append(core)
-
-    events = [c.next_event_cycle() for c in active]
-    while active:
-        target = min(events)
-        if target >= max_cycles:
-            raise RuntimeError(
-                f"sampled simulation exceeded {max_cycles} cycles "
-                "without draining"
-            )
-        next_active: List[PipelineCore] = []
-        next_events: List[int] = []
-        for i, core in enumerate(active):
-            if events[i] > target:
-                next_active.append(core)
-                next_events.append(events[i])
-                continue
-            core.cycle = target
-            core.step()
-            window_done = True
-            for thread in core.threads:
-                state = states[id(thread)]
-                if thread.cursor < thread.trace_len:
-                    if thread.cursor - state.window_start < window:
-                        window_done = False
-                elif thread.rob:
-                    window_done = False
-            if window_done:
-                for thread in core.threads:
-                    states[id(thread)].close_window(thread, core.cycle)
-                continue
-            next_active.append(core)
-            next_events.append(core.next_event_cycle())
-        active = next_active
-        events = next_events

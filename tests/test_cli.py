@@ -62,6 +62,40 @@ class TestCommands:
         assert main(["evaluate", "--mix", "mcf", "--no-smt"]) == 0
         assert "SMT             : off" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate", "--instructions", "0"], "--instructions must be >= 1"),
+            (["validate", "--instructions", "-5"], "--instructions must be >= 1"),
+            (["evaluate", "--mix", "nope"], "unknown benchmarks"),
+            (["evaluate", "--design", "nope", "--mix", "mcf"], "not in this study"),
+            (["evaluate", "--design", "4B", "--mix", ",".join(["mcf"] * 26)],
+             "has 24 hardware threads, the mix has 26"),
+            (["curve", "--max-threads", "0"], "--max-threads must be >= 1"),
+            (["sweep", "--max-threads", "0", "--no-cache"],
+             "--max-threads must be >= 1"),
+        ],
+        ids=[
+            "validate-zero-instructions",
+            "validate-negative-instructions",
+            "evaluate-unknown-benchmark",
+            "evaluate-unknown-design",
+            "evaluate-more-threads-than-contexts",
+            "curve-zero-max-threads",
+            "sweep-zero-max-threads",
+        ],
+    )
+    def test_bad_input_is_a_one_line_error(self, argv, message, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
         out = capsys.readouterr().out

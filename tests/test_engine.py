@@ -307,27 +307,25 @@ class TestResultStore:
 
 
 class TestBatchedStoreIO:
-    """``write_many``/``get_many``: one backend transaction per batch."""
+    """``write_many``/``get_many``: one backend call per batch."""
 
     KEYS = [format(i, "064x") for i in range(1, 4)]
     PAYLOADS = [{"n": i} for i in range(1, 4)]
 
-    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
-    def test_write_many_get_many_round_trip(self, tmp_path, backend):
-        store = ResultStore(tmp_path, backend=backend)
+    def test_write_many_get_many_round_trip(self, tmp_path):
+        store = ResultStore(tmp_path)
         store.write_many(list(zip(self.KEYS, self.PAYLOADS)))
         assert store.stats.writes == len(self.KEYS)
         # A fresh store (no memory layer) must read the same bytes back,
         # aligned with the requested key order.
-        fresh = ResultStore(tmp_path, backend=backend)
+        fresh = ResultStore(tmp_path)
         assert fresh.get_many(list(reversed(self.KEYS))) == list(
             reversed(self.PAYLOADS)
         )
         assert fresh.stats.hits == len(self.KEYS)
 
-    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
-    def test_get_many_alignment_with_misses(self, tmp_path, backend):
-        store = ResultStore(tmp_path, backend=backend)
+    def test_get_many_alignment_with_misses(self, tmp_path):
+        store = ResultStore(tmp_path)
         store.write_many(list(zip(self.KEYS, self.PAYLOADS)))
         absent = "f" * 64
         got = store.get_many([self.KEYS[0], absent, self.KEYS[2]])
@@ -410,71 +408,18 @@ class TestCorruptRunSummary:
         assert "last run        : (none recorded)" in capsys.readouterr().out
 
 
-class TestSqliteBackend:
-    def test_round_trip(self, tmp_path, study):
-        store = ResultStore(tmp_path, backend="sqlite")
-        result = study.evaluate_mix("4B", list(MIX))
-        key = unit().content_key
-        store.put(key, payload_from_result(result))
-        assert result_from_payload(store.get(key)) == result
-        assert store.stats.writes == 1 and store.stats.hits == 1
-        assert store.content_summary()["backend"] == "sqlite"
-        store.close()
-
-    def test_backends_are_interchangeable_for_the_engine(self, tmp_path):
-        """Same units, either backend: identical payloads come back."""
+class TestRecordLayout:
+    def test_one_json_file_per_record_under_schema_and_shard(self, tmp_path):
+        """``<cache-dir>/v<schema>/<key[:2]>/<key>.json`` is a published
+        layout: tools outside the package glob records by it."""
         u = unit()
-        dir_store = ResultStore(tmp_path / "dir", backend="dir")
-        (first,) = Engine(jobs=1, store=dir_store).evaluate([u])
-        sqlite_store = ResultStore(tmp_path / "sql", backend="sqlite")
-        (second,) = Engine(jobs=1, store=sqlite_store).evaluate([u])
-        assert first == second
-        assert dir_store.get(u.content_key) == sqlite_store.get(u.content_key)
-        sqlite_store.close()
-
-    def test_second_run_hits_sqlite_store(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        units = [unit(), unit(smt=False)]
-        Engine(jobs=1, store=store).evaluate(units)
-        engine = Engine(jobs=1, store=ResultStore(tmp_path, backend="sqlite"))
-        engine.evaluate(units)
-        assert engine.stats.store_hits == 2
-        assert engine.stats.units_computed == 0
-
-    def test_clear_and_prune(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        units = [unit(mix=(b,)) for b in ("mcf", "tonto", "hmmer")]
-        Engine(jobs=1, store=store).evaluate(units)
-        assert store.content_summary()["records"] == 3
-        assert store.prune(max_records=1) == 2
-        assert store.content_summary()["records"] == 1
-        assert store.clear() == 1
-        assert store.content_summary()["records"] == 0
-
-    def test_corrupt_record_recovers(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        engine = Engine(jobs=1, store=store)
-        u = unit()
-        (first,) = engine.evaluate([u])
-        store.backend.write_record(u.content_key, "{ this is not json")
-        (again,) = engine.evaluate([u])
-        assert again == first
-        assert store.stats.corrupt == 1
-        assert result_from_payload(store.get(u.content_key)) == first
-
-    def test_records_shard_across_databases(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        units = [unit(mix=(b,)) for b in ("mcf", "tonto", "hmmer", "lbm")]
-        Engine(jobs=1, store=store).evaluate(units)
-        shards = {store.backend.shard_of(u.content_key) for u in units}
-        present = list(store.backend._shards_present())
-        assert sorted(shards) == sorted(present)
-        summary = store.content_summary()
-        assert summary["sqlite_shards"] == len(present)
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            ResultStore(tmp_path, backend="postgres")
+        (result,) = Engine(jobs=1, store=ResultStore(tmp_path)).evaluate([u])
+        key = u.content_key
+        expected = tmp_path / f"v{STORE_SCHEMA_VERSION}" / key[:2] / f"{key}.json"
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert files == [expected]
+        record = json.loads(expected.read_text())
+        assert result_from_payload(record["payload"]) == result
 
 
 class TestEngineCaching:
