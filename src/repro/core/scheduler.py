@@ -53,6 +53,12 @@ def _cached_isolated_ips(profile: BenchmarkProfile, core: CoreConfig) -> float:
     )
 
 
+#: Per-core thread counts by (design, smt) -> {n_threads: counts}.  A pure
+#: function of the key that every grid point would otherwise recompute (a
+#: Scheduler is built per point); bounded by designs x 2 x thread counts.
+_SLOT_COUNTS_CACHE = KeyedCache("scheduler-slot-counts")
+
+
 def clear_isolated_ips_cache() -> None:
     """Drop the memoized isolated-IPS values (tests that tweak model globals)."""
     _ISOLATED_IPS_CACHE.clear()
@@ -90,6 +96,14 @@ class Scheduler:
         takes one running thread; extras time-share big cores first.
         """
         check_positive("n_threads", n_threads)
+        by_count = _SLOT_COUNTS_CACHE.get_or_compute((self.design, self.smt), dict)
+        try:
+            counts = by_count[n_threads]
+        except KeyError:
+            counts = by_count[n_threads] = tuple(self._count_slots(n_threads))
+        return list(counts)  # a fresh list: callers may mutate it
+
+    def _count_slots(self, n_threads: int) -> List[int]:
         cores = self.design.cores
         counts = [0] * len(cores)
         caps = [c.max_smt_contexts if self.smt else 1 for c in cores]

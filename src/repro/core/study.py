@@ -573,16 +573,16 @@ def clear_reference_cache() -> None:
     _REFERENCE_CACHE.clear()
 
 
+#: Points per lockstep solver call in :meth:`DesignSpaceStudy._compute_mix_batch`.
+#: Small enough that early chunks seed warm-start hints for later ones, large
+#: enough that the batch kernel amortizes its per-call setup.
+_BATCH_CHUNK = 32
+
 #: Converged loaded DRAM latencies by (design, smt) -> {n_threads: ns}, used
 #: to warm-start the chip solver's bisection bracket from the nearest
 #: already-solved grid point (same design, adjacent thread count).  Hints are
 #: purely advisory: the solver certifies every warm bracket and falls back to
 #: the cold bracket, so stale or wrong entries cost at most two evaluations.
-# Points per lockstep solver call in :meth:`DesignSpaceStudy._compute_mix_batch`.
-# Small enough that early chunks seed warm-start hints for later ones, large
-# enough that the batch kernel amortizes its per-call setup.
-_BATCH_CHUNK = 32
-
 _LATENCY_HINT_CACHE = KeyedCache("study-latency-hints")
 
 

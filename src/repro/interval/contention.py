@@ -390,34 +390,61 @@ class ChipModel:
 
         The vectorized solver (:meth:`_solve_vectorized`) is bit-identical
         to this by construction and by test; this path stays in the tree as
-        the reference, as the ICOUNT-SMT fallback and as the
-        ``$REPRO_INTERVAL_SOLVER=scalar`` escape hatch.
+        the reference and as the ``$REPRO_INTERVAL_SOLVER=scalar`` escape
+        hatch.
         """
         placement.validate_against(self.design, smt)
+        statics = self._solve_statics(placement)
+        with TRACER.span("interval.dram-contention", cat="interval") as dram_span:
+            mem_lat_ns, iterations = self._bisect_scalar(
+                statics,
+                self.unloaded_mem_latency_ns,
+                self._loaded_mem_latency_ns(float("inf")),
+            )
+            dram_span.set(iterations=iterations)
+        return self._finalize(
+            placement,
+            self._core_results(statics, mem_lat_ns),
+            mem_lat_ns,
+            iterations,
+        )
+
+    def _solve_statics(
+        self, placement: Placement
+    ) -> List[Optional[CoreBatchStatics]]:
+        """Per-core statics for ``placement`` (``None`` for an idle core).
+
+        These are the only latency-independent work of a solve: every
+        trial latency of the bisection, and the converged result, is
+        derived from them by :meth:`_core_results` or the batch kernel.
+        """
         llc_lat_ns = self._llc_latency_ns
         with TRACER.span("interval.cache-shares", cat="interval"):
             llc_shares, private_shares = self._cache_share_lists(placement)
-        run_cores = self._run_cores_fn(
-            placement, llc_shares, private_shares, llc_lat_ns
-        )
-
-        # The loaded latency induced by the traffic generated at latency L is
-        # strictly decreasing in L (more latency -> less traffic -> less
-        # queueing), so g(L) = loaded(traffic(L)) - L has a unique root:
-        # bisect between the unloaded latency and the queueing-model maximum.
-        with TRACER.span("interval.dram-contention", cat="interval") as dram_span:
-            lo = self.unloaded_mem_latency_ns
-            hi = self._loaded_mem_latency_ns(float("inf"))
-            core_results, traffic = run_cores(lo)
-            iterations = 1
-            if self._loaded_mem_latency_ns(traffic) <= lo + CONVERGENCE_NS:
-                mem_lat_ns = lo  # bus effectively unloaded: no contention
-            else:
-                core_results, traffic, mem_lat_ns, iterations = (
-                    self._bisect_scalar(run_cores, lo, hi)
+        statics: List[Optional[CoreBatchStatics]] = []
+        for idx, (core, threads) in enumerate(
+            zip(self.design.cores, placement.core_threads)
+        ):
+            if not threads:
+                statics.append(None)
+                continue
+            l1i_s, l1d_s, l2_s = private_shares[idx]
+            env = CoreEnvironment(
+                l1i_share_bytes=tuple(l1i_s),
+                l1d_share_bytes=tuple(l1d_s),
+                l2_share_bytes=tuple(l2_s),
+                llc_share_bytes=tuple(llc_shares[idx]),
+                llc_latency_cycles=llc_lat_ns * core.frequency_ghz,
+                mem_latency_cycles=0.0,  # unused: statics are latency-free
+            )
+            statics.append(
+                self._core_models[idx].batch_statics(
+                    [t.profile for t in threads],
+                    env,
+                    [t.duty_cycle for t in threads],
                 )
-            dram_span.set(iterations=iterations)
-        return self._finalize(placement, core_results, mem_lat_ns, iterations)
+            )
+        return statics
 
     def _cache_share_lists(
         self, placement: Placement
@@ -430,60 +457,48 @@ class ChipModel:
         ]
         return llc_shares, private_shares
 
-    def _run_cores_fn(
-        self,
-        placement: Placement,
-        llc_shares: List[List[float]],
-        private_shares: List[Tuple[List[float], List[float], List[float]]],
-        llc_lat_ns: float,
-    ):
-        design = self.design
+    def _core_results(
+        self, statics: Sequence[Optional[CoreBatchStatics]], mem_lat_ns: float
+    ) -> List[CoreResult]:
+        """Every core's results at one trial memory latency."""
+        return [
+            _IDLE_CORE if st is None
+            else model.results_at(st, mem_lat_ns * model.core.frequency_ghz)
+            for model, st in zip(self._core_models, statics)
+        ]
 
-        def run_cores(mem_lat_ns: float) -> Tuple[List[CoreResult], float]:
-            """Evaluate every core at a trial memory latency; return traffic."""
-            results: List[CoreResult] = []
-            traffic = 0.0
-            for idx, (core, threads) in enumerate(
-                zip(design.cores, placement.core_threads)
-            ):
-                if not threads:
-                    results.append(CoreResult(threads=(), utilization=0.0))
-                    continue
-                l1i_s, l1d_s, l2_s = private_shares[idx]
-                env = CoreEnvironment(
-                    l1i_share_bytes=tuple(l1i_s),
-                    l1d_share_bytes=tuple(l1d_s),
-                    l2_share_bytes=tuple(l2_s),
-                    llc_share_bytes=tuple(llc_shares[idx]),
-                    llc_latency_cycles=llc_lat_ns * core.frequency_ghz,
-                    mem_latency_cycles=mem_lat_ns * core.frequency_ghz,
+    def _traffic(self, core_results: Sequence[CoreResult]) -> float:
+        """Off-chip traffic (bytes/s) the given core results generate."""
+        traffic = 0.0
+        for core, result in zip(self.design.cores, core_results):
+            cycles_per_s = core.frequency_ghz * 1e9
+            for perf in result.threads:
+                traffic += (
+                    perf.ipc
+                    * cycles_per_s
+                    * perf.mem_misses_per_instr
+                    * self.uncore.llc.line_bytes
+                    * WRITEBACK_TRAFFIC_FACTOR
                 )
-                result = self._core_models[idx].evaluate(
-                    [t.profile for t in threads],
-                    env,
-                    duty_cycles=[t.duty_cycle for t in threads],
-                )
-                results.append(result)
-                cycles_per_s = core.frequency_ghz * 1e9
-                for perf in result.threads:
-                    traffic += (
-                        perf.ipc
-                        * cycles_per_s
-                        * perf.mem_misses_per_instr
-                        * self.uncore.llc.line_bytes
-                        * WRITEBACK_TRAFFIC_FACTOR
-                    )
-            return results, traffic
-
-        return run_cores
+        return traffic
 
     def _bisect_scalar(
-        self, run_cores, lo: float, hi: float
-    ) -> Tuple[List[CoreResult], float, float, int]:
-        """The reference bisection loop (every step through ``run_cores``)."""
+        self, statics: Sequence[Optional[CoreBatchStatics]], lo: float, hi: float
+    ) -> Tuple[float, int]:
+        """The reference fixed point: ``(mem_lat_ns, iterations)``.
+
+        The loaded latency induced by the traffic generated at latency L is
+        strictly decreasing in L (more latency -> less traffic -> less
+        queueing), so g(L) = loaded(traffic(L)) - L has a unique root:
+        bisect between the unloaded latency and the queueing-model maximum.
+        Every step evaluates the whole chip through :meth:`_core_results`.
+        """
+        traffic = self._traffic(self._core_results(statics, lo))
+        if self._loaded_mem_latency_ns(traffic) <= lo + CONVERGENCE_NS:
+            return lo, 1  # bus effectively unloaded: no contention
         for iterations in range(2, BISECTION_STEPS + 2):
             mid = 0.5 * (lo + hi)
-            core_results, traffic = run_cores(mid)
+            traffic = self._traffic(self._core_results(statics, mid))
             induced = self._loaded_mem_latency_ns(traffic)
             if (
                 abs(induced - mid) < CONVERGENCE_NS
@@ -494,9 +509,7 @@ class ChipModel:
                 lo = mid
             else:
                 hi = mid
-        mem_lat_ns = 0.5 * (lo + hi)
-        core_results, traffic = run_cores(mem_lat_ns)
-        return core_results, traffic, mem_lat_ns, iterations
+        return 0.5 * (lo + hi), iterations
 
     def _finalize(
         self,
@@ -588,111 +601,61 @@ class ChipModel:
         smt: bool = True,
         mem_latency_hint_ns: Optional[float] = None,
     ) -> ChipResult:
-        """NumPy batch solver: one scalar evaluation, vectorized bisection.
+        """NumPy batch solver: statics once, vectorized bisection.
 
         The entire fixed point — the unloaded-shortcut test at the lower
         endpoint and every bisection midpoint — runs through the flat batch
         kernel, which computes chip traffic for all threads at once from
-        latency-independent statics.  Only the *converged* latency gets a
-        scalar model evaluation, to materialize the per-thread results.
-        Identical inputs and identical elementwise arithmetic make the
-        result bit-identical to :meth:`_solve`.
+        latency-independent statics.  The converged per-thread results are
+        derived from the same statics.  Identical inputs and identical
+        elementwise arithmetic make the result bit-identical to
+        :meth:`_solve`.
         """
         solve = self._prepare_solve(placement, smt, mem_latency_hint_ns)
         with TRACER.span("interval.dram-contention", cat="interval") as dram_span:
             self._finish_bisection(solve)
             dram_span.set(iterations=solve.iterations)
-        return self._finalize(
-            placement, solve.core_results, solve.mem_lat_ns, solve.iterations
-        )
+        return self._finalize_solve(placement, solve)
 
     def _prepare_solve(
         self, placement: Placement, smt: bool, hint: Optional[float]
     ) -> "_ActiveSolve":
-        """Validate, partition caches and build the batch statics.
-
-        Kernel-capable solves do *no* scalar model evaluation here: the
-        latency-independent statics come straight from
-        :meth:`IntervalCoreModel.batch_statics` (same arithmetic, same
-        validation as the scalar path), and the unloaded-shortcut test runs
-        through the batch kernel as the first lockstep round.  Placements
-        that need the scalar loop (ICOUNT with SMT) fall back to the
-        scalar lower-endpoint evaluation and shortcut test instead
-        (``statics=None``).
-        """
+        """Validate, partition caches and build the per-core statics."""
         placement.validate_against(self.design, smt)
-        llc_lat_ns = self._llc_latency_ns
-        with TRACER.span("interval.cache-shares", cat="interval"):
-            llc_shares, private_shares = self._cache_share_lists(placement)
-        run_cores = self._run_cores_fn(
-            placement, llc_shares, private_shares, llc_lat_ns
+        return _ActiveSolve(
+            self,
+            self._solve_statics(placement),
+            self.unloaded_mem_latency_ns,
+            self._loaded_mem_latency_ns(float("inf")),
+            hint,
         )
-        lo = self.unloaded_mem_latency_ns
-        hi = self._loaded_mem_latency_ns(float("inf"))
-        solve = _ActiveSolve(self, run_cores, lo, hi, hint)
-        statics = self._solve_statics(
-            placement, llc_shares, private_shares, llc_lat_ns, lo
-        )
-        if statics is None:  # ICOUNT SMT: scalar endpoint + shortcut test
-            core_results, traffic = run_cores(lo)
-            solve.core_results = core_results
-            solve.evals = 1
-            if self._loaded_mem_latency_ns(traffic) <= lo + CONVERGENCE_NS:
-                solve.mem_lat_ns = lo  # bus effectively unloaded
-        else:
-            solve.statics = statics
-        return solve
 
     def _finish_bisection(self, solve: "_ActiveSolve") -> None:
-        """Run the bisection for one prepared solve (kernel or scalar)."""
-        if solve.statics is not None:
-            _bisect_many([solve])  # includes the unloaded-shortcut round
-            solve.core_results, _ = solve.run_cores(solve.mem_lat_ns)
-        elif solve.mem_lat_ns is None:  # ICOUNT SMT: scalar loop
-            solve.core_results, _, solve.mem_lat_ns, solve.iterations = (
-                self._bisect_scalar(solve.run_cores, solve.lo, solve.hi)
-            )
+        """Run the bisection for one prepared solve (kernel or scalar).
 
-    def _solve_statics(
-        self,
-        placement: Placement,
-        llc_shares: List[List[float]],
-        private_shares: List[Tuple[List[float], List[float], List[float]]],
-        llc_lat_ns: float,
-        lo: float,
-    ) -> Optional[List[CoreBatchStatics]]:
-        """Per-core batch statics for the kernel, or None when unsupported.
-
-        Builds each core's environment exactly as ``run_cores`` does (the
-        memory latency passed is irrelevant to the statics — every lifted
-        component is latency-independent) and derives the statics through
-        the same `_thread_static_terms` helper the scalar path uses, so no
-        scalar core evaluation is needed.
+        Chips with an ICOUNT-SMT core need the water-fill, which the batch
+        kernel cannot reproduce; they take the scalar reference loop.
         """
-        statics: List[CoreBatchStatics] = []
-        for idx, (core, threads) in enumerate(
-            zip(self.design.cores, placement.core_threads)
-        ):
-            if not threads:
-                continue
-            l1i_s, l1d_s, l2_s = private_shares[idx]
-            env = CoreEnvironment(
-                l1i_share_bytes=tuple(l1i_s),
-                l1d_share_bytes=tuple(l1d_s),
-                l2_share_bytes=tuple(l2_s),
-                llc_share_bytes=tuple(llc_shares[idx]),
-                llc_latency_cycles=llc_lat_ns * core.frequency_ghz,
-                mem_latency_cycles=lo * core.frequency_ghz,
+        if solve.scalar:
+            solve.mem_lat_ns, solve.iterations = self._bisect_scalar(
+                solve.statics, solve.lo, solve.hi
             )
-            st = self._core_models[idx].batch_statics(
-                [t.profile for t in threads],
-                env,
-                [t.duty_cycle for t in threads],
-            )
-            if st is None:
-                return None
-            statics.append(st)
-        return statics
+        else:
+            _bisect_many([solve])  # includes the unloaded-shortcut round
+
+    def _finalize_solve(
+        self, placement: Placement, solve: "_ActiveSolve"
+    ) -> ChipResult:
+        """The :class:`ChipResult` of a converged solve, from its statics."""
+        return self._finalize(
+            placement,
+            self._core_results(solve.statics, solve.mem_lat_ns),
+            solve.mem_lat_ns,
+            solve.iterations,
+        )
+
+
+_IDLE_CORE = CoreResult(threads=(), utilization=0.0)
 
 
 def isolated_ips(
@@ -724,16 +687,15 @@ class _ActiveSolve:
     """Per-solve bookkeeping for the lockstep batch bisection."""
 
     __slots__ = (
-        "model", "run_cores", "core_results", "statics", "lo", "hi", "hint",
-        "mem_lat_ns", "iterations", "it", "mid", "warm_depth",
-        "warm_rejected", "evals",
+        "model", "statics", "scalar", "lo", "hi", "hint", "mem_lat_ns",
+        "iterations", "it", "mid", "warm_depth", "warm_rejected", "evals",
     )
 
-    def __init__(self, model, run_cores, lo, hi, hint):
+    def __init__(self, model, statics, lo, hi, hint):
         self.model = model
-        self.run_cores = run_cores
-        self.core_results: Optional[List[CoreResult]] = None
-        self.statics: Optional[List[CoreBatchStatics]] = None
+        self.statics: List[Optional[CoreBatchStatics]] = statics
+        # An ICOUNT-SMT core rules out the batch kernel for the whole chip.
+        self.scalar = any(st is not None and st.water_fill for st in statics)
         self.lo = lo
         self.hi = hi
         self.hint = hint
@@ -783,7 +745,7 @@ class _BatchTrafficKernel:
 
     One instance concatenates the threads of many chip solves (same or
     different designs) into flat NumPy vectors; ``traffic_many`` then
-    reproduces what each solve's ``run_cores(L)`` would return as traffic —
+    reproduces the traffic each solve's scalar reference computes at ``L`` —
     bit-for-bit.  Two rules make that exact: every *elementwise* float64
     operation maps one-to-one onto the scalar expression (IEEE-identical),
     and every *reduction* (per-core demand sums, the chip traffic chain)
@@ -829,6 +791,8 @@ class _BatchTrafficKernel:
             line_bytes = solve.model.uncore.llc.line_bytes
             total = 0
             for st in solve.statics:
+                if st is None:  # idle core
+                    continue
                 k = st.n_threads
                 if k == 1:
                     k1_slot = len(k1_idx)
@@ -1126,9 +1090,7 @@ def evaluate_batch(
                 solves.append(model._prepare_solve(placement, smt, hint))
         else:
             solves.append(model._prepare_solve(placement, smt, hint))
-    lockstep = [
-        s for s in solves if s.mem_lat_ns is None and s.statics is not None
-    ]
+    lockstep = [s for s in solves if not s.scalar]
     if lockstep:
         with TRACER.span(
             "interval.dram-contention", cat="interval", points=len(lockstep)
@@ -1137,17 +1099,11 @@ def evaluate_batch(
             dram_span.set(
                 iterations=max(s.iterations for s in lockstep)
             )
-        for s in lockstep:
-            s.core_results, _ = s.run_cores(s.mem_lat_ns)
     results: List[ChipResult] = []
     for (model, placement, smt, _hint), s in zip(requests, solves):
-        if s.mem_lat_ns is None:  # ICOUNT SMT fallback: scalar loop
-            s.core_results, _, s.mem_lat_ns, s.iterations = (
-                model._bisect_scalar(s.run_cores, s.lo, s.hi)
-            )
-        result = model._finalize(
-            placement, s.core_results, s.mem_lat_ns, s.iterations
-        )
+        if s.scalar:  # ICOUNT SMT fallback: scalar loop
+            model._finish_bisection(s)
+        result = model._finalize_solve(placement, s)
         if METRICS.enabled:
             model._record_metrics(result)
         results.append(result)

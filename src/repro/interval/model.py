@@ -175,6 +175,7 @@ class CoreResult:
         return sum(t.ipc for t in self.threads)
 
 
+
 class IntervalCoreModel:
     """Analytical performance model of a single core (any of the three types).
 
@@ -192,6 +193,11 @@ class IntervalCoreModel:
     favours the threads with the fewest instructions in flight, which
     *equalizes* per-thread rates — modelled as water-filling the capacity
     across threads.
+
+    Evaluation is split in two: :meth:`batch_statics` computes everything
+    that does not depend on the memory latency once per core and solve,
+    and :meth:`results_at` derives the per-thread results at one latency
+    from those statics.  The model keeps no state between calls.
     """
 
     def __init__(
@@ -213,18 +219,9 @@ class IntervalCoreModel:
         self.core = core
         self.rob_partitioning = rob_partitioning
         self.fetch_policy = fetch_policy
-        # Hot-path constants and tiny memos (a chip solve calls
-        # `_thread_static_terms` once per thread per evaluation; these keys
-        # take only a handful of distinct values per model).  Memoized
-        # values are the exact floats the inline expressions produce, so
-        # they change no results.
         self._width_f = float(core.width)
         self._l2_lat = float(core.l2.latency_cycles)
         self._branch_penalty = core.frontend_depth + BRANCH_RAMP_CYCLES
-        self._rob_share_memo: Dict[int, float] = {}
-        self._issue_memo: Dict[Tuple[float, float], float] = {}
-        self._vis_memo: Dict[Tuple[float, float], float] = {}
-        self._terms_memo: Dict[Tuple, Tuple] = {}
 
     def _rob_share(self, n_threads: int) -> int:
         static = self.core.rob_share(n_threads)
@@ -233,7 +230,7 @@ class IntervalCoreModel:
         return min(self.core.rob_size, 2 * static)
 
     # ------------------------------------------------------------------ #
-    # per-thread unconstrained CPI                                        #
+    # latency-independent per-thread terms                                #
     # ------------------------------------------------------------------ #
 
     def _miss_rates(
@@ -263,132 +260,108 @@ class IntervalCoreModel:
         dispatch_rate = float(self.core.width)
         return min(1.0, max(0.0, 1.0 - rob_share / (dispatch_rate * latency)))
 
-    def _thread_static_terms(
+    def batch_statics(
         self,
-        profile: BenchmarkProfile,
+        profiles: Sequence[BenchmarkProfile],
         env: CoreEnvironment,
-        idx: int,
-        n_threads: int,
-    ) -> Tuple[float, float, float, float, float, float, float]:
-        """The latency-independent pieces of :meth:`_thread_cpi`, memoized.
+        duty_cycles: Sequence[float],
+    ) -> "CoreBatchStatics":
+        """Latency-independent per-thread terms of ``profiles`` on this core.
 
-        A chip solve computes these twice per thread (once for the batch
-        statics, once when materializing the converged result), and a study
-        slab revisits the same (profile, shares) points; the memo returns
-        the exact tuple the computation produced.  Keys pin the profile
-        object so an ``id`` can never be reused while its entry is alive.
+        Everything a thread's CPI stack needs except the DRAM term: the
+        base, branch, l1i, l2hit and llchit CPI adders, the memory misses
+        per instruction and the effective MLP.  The core-wide pieces (ROB
+        share, window-limited ILP, short-miss visibility) depend only on
+        the resident context count, so they are computed once per call.
+        ``env.mem_latency_cycles`` is ignored; :meth:`results_at` supplies
+        the latency.
+
+        Cores that need ICOUNT water-filling (fetch policy ``"icount"``
+        with more than one resident context) get statics too, flagged
+        ``water_fill``: the chip solver's batch kernel cannot reproduce
+        the water-fill and solves such chips with the scalar bisection.
         """
-        key = (
-            id(profile),
-            env.l1i_share_bytes[idx],
-            env.l1d_share_bytes[idx],
-            env.l2_share_bytes[idx],
-            env.llc_share_bytes[idx],
-            env.llc_latency_cycles,
-            n_threads,
-        )
-        hit = self._terms_memo.get(key)
-        if hit is not None and hit[0] is profile:
-            return hit[1]
-        terms = self._compute_thread_static_terms(profile, env, idx, n_threads)
-        self._terms_memo[key] = (profile, terms)
-        return terms
-
-    def _compute_thread_static_terms(
-        self,
-        profile: BenchmarkProfile,
-        env: CoreEnvironment,
-        idx: int,
-        n_threads: int,
-    ) -> Tuple[float, float, float, float, float, float, float]:
-        """The latency-independent pieces of :meth:`_thread_cpi`.
-
-        Returns ``(cpi_base, cpi_branch, cpi_l1i, cpi_l2hit, cpi_llchit,
-        mem_mpi, mlp)``.  Everything here depends only on the cache shares
-        and core partitioning — not on the trial memory latency — which is
-        what lets the chip solver compute them once per solve and re-derive
-        only the DRAM term per bisection step.  This is the single source
-        of truth for both the scalar path (:meth:`_thread_cpi`) and the
-        batch path (:meth:`batch_statics`).
-        """
+        n = len(profiles)
+        if len(duty_cycles) != n:
+            raise ValueError("duty_cycles must align with profiles")
+        for d in duty_cycles:
+            check_fraction("duty_cycle", d)
+        if sum(duty_cycles) > self.core.max_smt_contexts + 1e-9:
+            raise ValueError(
+                f"{self.core.name} core supports at most "
+                f"{self.core.max_smt_contexts} concurrent contexts; summed "
+                f"duty cycles give {sum(duty_cycles):.2f}"
+            )
+        # The ROB is statically partitioned across the *concurrently resident*
+        # hardware contexts, not across every thread time-sharing the core:
+        # six threads round-robining a non-SMT core each see the full window
+        # while scheduled.  The expected concurrency is the summed duty.
+        n_ctx = min(self.core.max_smt_contexts, max(1, round(sum(duty_cycles))))
         core = self.core
-        l1i_mpi, l1d_mpi, l2_mpi, mem_mpi = self._miss_rates(profile, env, idx)
+        ooo = core.is_out_of_order
+        width = self._width_f
         l2_lat = self._l2_lat
         llc_lat = env.llc_latency_cycles
-
-        cpi_branch = profile.branch_mpki / 1000.0 * self._branch_penalty
-
-        if core.is_out_of_order:
-            try:
-                rob_share = self._rob_share_memo[n_threads]
-            except KeyError:
-                rob_share = float(self._rob_share(n_threads))
-                self._rob_share_memo[n_threads] = rob_share
-            issue_key = (profile.ilp, rob_share)
-            try:
-                cpi_base = self._issue_memo[issue_key]
-            except KeyError:
-                issue_rate = min(
-                    profile.ilp, self._width_f, window_limited_ilp(rob_share)
-                )
-                cpi_base = 1.0 / issue_rate
-                self._issue_memo[issue_key] = cpi_base
+        issue_eff = smt_issue_efficiency(n_ctx)
+        if ooo:
+            rob_share = float(self._rob_share(n_ctx))
+            window_ilp = window_limited_ilp(rob_share)
             # Short misses: partially hidden by the window.
-            vis_l2 = self._vis_memo.get((l2_lat, rob_share))
-            if vis_l2 is None:
-                vis_l2 = self._visible_fraction(l2_lat, rob_share)
-                self._vis_memo[(l2_lat, rob_share)] = vis_l2
-            vis_llc = self._vis_memo.get((llc_lat, rob_share))
-            if vis_llc is None:
-                vis_llc = self._visible_fraction(llc_lat, rob_share)
-                self._vis_memo[(llc_lat, rob_share)] = vis_llc
-            cpi_l1i = l1i_mpi * l2_lat * 0.8  # front-end misses hide poorly
-            cpi_l2hit = max(0.0, l1d_mpi - l2_mpi) * l2_lat * vis_l2
-            cpi_llchit = max(0.0, l2_mpi - mem_mpi) * llc_lat * vis_llc
-            # Long misses: overlapped up to the window-limited MLP.
-            mlp = max(1.0, min(profile.mlp, rob_share * mem_mpi * MLP_BURST_FACTOR))
+            vis_l2 = self._visible_fraction(l2_lat, rob_share)
+            vis_llc = self._visible_fraction(llc_lat, rob_share)
+            pipe_denominator = core.width * issue_eff
         else:
-            issue_rate = min(profile.ilp_inorder, self._width_f)
-            cpi_base = 1.0 / issue_rate
-            # Stall-on-use: every miss latency is fully exposed, serially.
-            mlp = 1.0
-            cpi_l1i = l1i_mpi * l2_lat
-            cpi_l2hit = max(0.0, l1d_mpi - l2_mpi) * l2_lat
-            cpi_llchit = max(0.0, l2_mpi - mem_mpi) * llc_lat
-        return cpi_base, cpi_branch, cpi_l1i, cpi_l2hit, cpi_llchit, mem_mpi, mlp
-
-    def _thread_cpi(
-        self,
-        profile: BenchmarkProfile,
-        env: CoreEnvironment,
-        idx: int,
-        n_threads: int,
-    ) -> ThreadPerformance:
-        """Unconstrained CPI of one thread, with partitioned core resources."""
-        cpi_base, cpi_branch, cpi_l1i, cpi_l2hit, cpi_llchit, mem_mpi, mlp = (
-            self._thread_static_terms(profile, env, idx, n_threads)
-        )
-        mem_lat = env.mem_latency_cycles
-        if self.core.is_out_of_order:
-            cpi_dram = mem_mpi * mem_lat / mlp
-        else:
-            cpi_dram = mem_mpi * mem_lat
-
-        breakdown = {
-            "base": cpi_base,
-            "branch": cpi_branch,
-            "l1i": cpi_l1i,
-            "l2hit": cpi_l2hit,
-            "llchit": cpi_llchit,
-            "dram": cpi_dram,
-        }
-        cpi = sum(breakdown.values())
-        return ThreadPerformance(
-            ipc=1.0 / cpi,
-            unconstrained_ipc=1.0 / cpi,
-            mem_misses_per_instr=mem_mpi,
-            mlp=mlp,
-            cpi_breakdown=breakdown,
+            pipe_denominator = issue_eff
+        terms = []
+        static_cpi = []
+        busy_cpi = []
+        dram_mpi = []
+        mlp_l = []
+        mem_frac = []
+        nonmem_frac = []
+        for i, p in enumerate(profiles):
+            l1i_mpi, l1d_mpi, l2_mpi, mem_mpi = self._miss_rates(p, env, i)
+            branch = p.branch_mpki / 1000.0 * self._branch_penalty
+            if ooo:
+                base = 1.0 / min(p.ilp, width, window_ilp)
+                l1i = l1i_mpi * l2_lat * 0.8  # front-end misses hide poorly
+                l2hit = max(0.0, l1d_mpi - l2_mpi) * l2_lat * vis_l2
+                llchit = max(0.0, l2_mpi - mem_mpi) * llc_lat * vis_llc
+                # Long misses: overlapped up to the window-limited MLP.
+                mlp = max(1.0, min(p.mlp, rob_share * mem_mpi * MLP_BURST_FACTOR))
+            else:
+                base = 1.0 / min(p.ilp_inorder, width)
+                # Stall-on-use: every miss latency is fully exposed, serially.
+                l1i = l1i_mpi * l2_lat
+                l2hit = max(0.0, l1d_mpi - l2_mpi) * l2_lat
+                llchit = max(0.0, l2_mpi - mem_mpi) * llc_lat
+                mlp = 1.0
+            terms.append((base, branch, l1i, l2hit, llchit))
+            # Left to right, as sum() over the CPI breakdown adds them.
+            static_cpi.append((((base + branch) + l1i) + l2hit) + llchit)
+            busy_cpi.append(base + branch)
+            dram_mpi.append(mem_mpi)
+            mlp_l.append(mlp)
+            mem_frac.append(p.mem_frac)
+            nonmem_frac.append(1.0 - p.mem_frac)
+        fu = core.functional_units
+        alu_ports = fu.int_alu + fu.mul_div + fu.fp
+        return CoreBatchStatics(
+            is_out_of_order=ooo,
+            frequency_ghz=core.frequency_ghz,
+            n_contexts=n_ctx,
+            water_fill=self.fetch_policy == "icount" and n_ctx > 1,
+            pipe_denominator=pipe_denominator,
+            ldst_denominator=fu.load_store * PORT_EFFICIENCY,
+            alu_denominator=alu_ports * PORT_EFFICIENCY,
+            terms=terms,
+            static_cpi=static_cpi,
+            dram_mpi=dram_mpi,
+            mlp=mlp_l,
+            duty_cycle=list(duty_cycles),
+            mem_frac=mem_frac,
+            nonmem_frac=nonmem_frac,
+            busy_cpi=busy_cpi,
         )
 
     # ------------------------------------------------------------------ #
@@ -425,211 +398,121 @@ class IntervalCoreModel:
             return CoreResult(threads=(), utilization=0.0)
         if duty_cycles is None:
             duty_cycles = [1.0] * n
-        if len(duty_cycles) != n:
-            raise ValueError("duty_cycles must align with profiles")
-        for d in duty_cycles:
-            check_fraction("duty_cycle", d)
-        if sum(duty_cycles) > self.core.max_smt_contexts + 1e-9:
-            raise ValueError(
-                f"{self.core.name} core supports at most "
-                f"{self.core.max_smt_contexts} concurrent contexts; summed "
-                f"duty cycles give {sum(duty_cycles):.2f}"
-            )
-        # The ROB is statically partitioned across the *concurrently resident*
-        # hardware contexts, not across every thread time-sharing the core:
-        # six threads round-robining a non-SMT core each see the full window
-        # while scheduled.  The expected concurrency is the summed duty.
-        n_ctx = min(self.core.max_smt_contexts, max(1, round(sum(duty_cycles))))
+        statics = self.batch_statics(profiles, env, duty_cycles)
+        return self.results_at(statics, env.mem_latency_cycles)
 
+    def results_at(
+        self, statics: "CoreBatchStatics", mem_latency_cycles: float
+    ) -> CoreResult:
+        """Per-thread results of this core's ``statics`` at one DRAM latency.
+
+        ``statics`` must come from this model's :meth:`batch_statics`.  The
+        CPI is ``static_cpi + dram``, the same left-to-right order as
+        ``sum()`` over the CPI breakdown, so the chip solver's batch kernel
+        computes the same rates bit for bit.
+        """
         # Hot path (~40 calls per chip solve): a single guard keeps the
         # disabled cost to one attribute check.
         if METRICS.enabled:
             METRICS.inc("interval.core_evals")
-            if n_ctx > 1:
+            if statics.n_contexts > 1:
                 METRICS.inc("interval.core_evals_smt")
+        breakdowns = []
+        solo_ipc = []
+        rates = []
+        for (base, branch, l1i, l2hit, llchit), static, mpi, mlp, duty in zip(
+            statics.terms, statics.static_cpi, statics.dram_mpi,
+            statics.mlp, statics.duty_cycle,
+        ):
+            dram = mpi * mem_latency_cycles / mlp  # mlp is 1.0 in-order
+            breakdowns.append({
+                "base": base,
+                "branch": branch,
+                "l1i": l1i,
+                "l2hit": l2hit,
+                "llchit": llchit,
+                "dram": dram,
+            })
+            ipc = 1.0 / (static + dram)
+            solo_ipc.append(ipc)
+            rates.append(ipc * duty)
 
-        solo = [self._thread_cpi(p, env, i, n_ctx) for i, p in enumerate(profiles)]
-        rates = [t.unconstrained_ipc * d for t, d in zip(solo, duty_cycles)]
-
-        if self.fetch_policy == "icount" and n_ctx > 1:
-            final_rates = self._icount_rates(profiles, solo, rates, n_ctx)
+        if statics.water_fill:
+            final_rates = _icount_rates(statics, rates)
         else:
-            scale = self._bandwidth_scale(profiles, solo, rates, n_ctx)
+            scale = _bandwidth_scale(statics, rates)
             final_rates = [r * scale for r in rates]
-        scaled = [
+        threads = tuple(
             ThreadPerformance(
                 ipc=r,
-                unconstrained_ipc=t.unconstrained_ipc,
-                mem_misses_per_instr=t.mem_misses_per_instr,
-                mlp=t.mlp,
-                cpi_breakdown=t.cpi_breakdown,
+                unconstrained_ipc=ipc,
+                mem_misses_per_instr=mpi,
+                mlp=mlp,
+                cpi_breakdown=breakdown,
             )
-            for t, r in zip(solo, final_rates)
-        ]
+            for r, ipc, mpi, mlp, breakdown in zip(
+                final_rates, solo_ipc, statics.dram_mpi, statics.mlp, breakdowns
+            )
+        )
         utilization = min(
-            1.0, sum(t.ipc for t in scaled) / float(self.core.width)
+            1.0, sum(t.ipc for t in threads) / float(self.core.width)
         )
-        return CoreResult(threads=tuple(scaled), utilization=utilization)
+        return CoreResult(threads=threads, utilization=utilization)
 
-    def _bandwidth_scale(
-        self,
-        profiles: Sequence[BenchmarkProfile],
-        solo: Sequence[ThreadPerformance],
-        rates: Sequence[float],
-        n_ctx: int,
-    ) -> float:
-        """Proportional scale factor from shared-pipeline capacity limits."""
-        core = self.core
-        issue_eff = smt_issue_efficiency(n_ctx)
 
-        if core.is_out_of_order:
-            # Issue slots are truly shared: one instruction consumes
-            # 1/width cycles of dispatch bandwidth regardless of its thread.
-            pipe_demand = sum(rates) / (core.width * issue_eff)
+def _bandwidth_scale(statics: "CoreBatchStatics", rates: Sequence[float]) -> float:
+    """Proportional scale factor from shared-pipeline capacity limits."""
+    if statics.is_out_of_order:
+        # Issue slots are truly shared: one instruction consumes
+        # 1/width cycles of dispatch bandwidth regardless of its thread.
+        pipe_demand = sum(rates) / statics.pipe_denominator
+    else:
+        # Fine-grained MT: a thread's busy cycles (dependence-limited
+        # issue plus branch flushes) occupy the pipeline exclusively;
+        # only its stall cycles can be filled by the co-resident thread.
+        pipe_demand = 0.0
+        for r, busy_cpi in zip(rates, statics.busy_cpi):
+            pipe_demand += r * busy_cpi
+        pipe_demand /= statics.pipe_denominator
+    ldst_demand = sum(
+        r * f for r, f in zip(rates, statics.mem_frac)
+    ) / statics.ldst_denominator
+    alu_demand = sum(
+        r * f for r, f in zip(rates, statics.nonmem_frac)
+    ) / statics.alu_denominator
+    worst = max(pipe_demand, ldst_demand, alu_demand)
+    return 1.0 if worst <= 1.0 else 1.0 / worst
+
+
+def _icount_rates(statics: "CoreBatchStatics", rates: Sequence[float]) -> List[float]:
+    """ICOUNT bandwidth sharing: water-fill capacity across threads.
+
+    ICOUNT fetches for the least-occupying threads first, which drives
+    per-thread throughput towards equality: every thread gets
+    ``min(unconstrained_rate, level)`` with the level chosen so the
+    binding capacity constraint is just met.
+    """
+    if _bandwidth_scale(statics, rates) >= 1.0:
+        return list(rates)
+    lo, hi = 0.0, max(rates)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if _bandwidth_scale(statics, [min(r, mid) for r in rates]) >= 1.0:
+            lo = mid
         else:
-            # Fine-grained MT: a thread's busy cycles (dependence-limited
-            # issue plus branch flushes) occupy the pipeline exclusively;
-            # only its stall cycles can be filled by the co-resident thread.
-            pipe_demand = 0.0
-            for p, t, r in zip(profiles, solo, rates):
-                busy_cpi = t.cpi_breakdown["base"] + t.cpi_breakdown["branch"]
-                pipe_demand += r * busy_cpi
-            pipe_demand /= issue_eff
-
-        fu = core.functional_units
-        ldst_demand = sum(
-            r * p.mem_frac for p, r in zip(profiles, rates)
-        ) / (fu.load_store * PORT_EFFICIENCY)
-        alu_ports = fu.int_alu + fu.mul_div + fu.fp
-        alu_demand = sum(
-            r * (1.0 - p.mem_frac) for p, r in zip(profiles, rates)
-        ) / (alu_ports * PORT_EFFICIENCY)
-
-        worst = max(pipe_demand, ldst_demand, alu_demand)
-        return 1.0 if worst <= 1.0 else 1.0 / worst
-
-    # ------------------------------------------------------------------ #
-    # vectorized batch path                                               #
-    # ------------------------------------------------------------------ #
-
-    def batch_statics(
-        self,
-        profiles: Sequence[BenchmarkProfile],
-        env: CoreEnvironment,
-        duty_cycles: Sequence[float],
-    ) -> Optional["CoreBatchStatics"]:
-        """Latency-independent per-thread vectors for the batch solver.
-
-        This is the batch counterpart of the per-thread loop in
-        :meth:`evaluate`: everything `_miss_rates` / `_visible_fraction` /
-        `_thread_cpi` produce that does *not* depend on the trial memory
-        latency, computed through the same :meth:`_thread_static_terms`
-        helper the scalar path uses (single source of truth for the golden
-        arithmetic) but without building any per-thread result objects.
-        The chip solver's kernel then re-derives only the DRAM term per
-        bisection step with a handful of elementwise operations.
-
-        The partial sum below reproduces ``sum(breakdown.values())``'s
-        sequential association bit-for-bit, which is what makes the batch
-        path's CPI IEEE-identical to the scalar one at any latency.  Input
-        validation mirrors :meth:`evaluate` so invalid placements raise
-        identically on both paths.
-
-        Returns ``None`` when this core would need ICOUNT water-filling
-        (fetch policy ``"icount"`` with more than one resident context) —
-        that path stays scalar.
-        """
-        n = len(profiles)
-        if len(duty_cycles) != n:
-            raise ValueError("duty_cycles must align with profiles")
-        for d in duty_cycles:
-            check_fraction("duty_cycle", d)
-        if sum(duty_cycles) > self.core.max_smt_contexts + 1e-9:
-            raise ValueError(
-                f"{self.core.name} core supports at most "
-                f"{self.core.max_smt_contexts} concurrent contexts; summed "
-                f"duty cycles give {sum(duty_cycles):.2f}"
-            )
-        n_ctx = min(self.core.max_smt_contexts, max(1, round(sum(duty_cycles))))
-        if self.fetch_policy == "icount" and n_ctx > 1:
-            return None
-        core = self.core
-        issue_eff = smt_issue_efficiency(n_ctx)
-        if core.is_out_of_order:
-            pipe_denominator = core.width * issue_eff
-        else:
-            pipe_denominator = issue_eff
-        fu = core.functional_units
-        alu_ports = fu.int_alu + fu.mul_div + fu.fp
-        static_cpi = []
-        busy_cpi = []
-        dram_mpi = []
-        mlp_l = []
-        mem_frac = []
-        nonmem_frac = []
-        for i, p in enumerate(profiles):
-            base, branch, l1i, l2hit, llchit, mem_mpi, mlp = (
-                self._thread_static_terms(p, env, i, n_ctx)
-            )
-            static_cpi.append((((base + branch) + l1i) + l2hit) + llchit)
-            busy_cpi.append(base + branch)
-            dram_mpi.append(mem_mpi)
-            mlp_l.append(mlp)
-            mem_frac.append(p.mem_frac)
-            nonmem_frac.append(1.0 - p.mem_frac)
-        return CoreBatchStatics(
-            is_out_of_order=core.is_out_of_order,
-            frequency_ghz=core.frequency_ghz,
-            pipe_denominator=pipe_denominator,
-            ldst_denominator=fu.load_store * PORT_EFFICIENCY,
-            alu_denominator=alu_ports * PORT_EFFICIENCY,
-            static_cpi=static_cpi,
-            dram_mpi=dram_mpi,
-            mlp=mlp_l,
-            duty_cycle=list(duty_cycles),
-            mem_frac=mem_frac,
-            nonmem_frac=nonmem_frac,
-            busy_cpi=busy_cpi,
-        )
-
-    def _icount_rates(
-        self,
-        profiles: Sequence[BenchmarkProfile],
-        solo: Sequence[ThreadPerformance],
-        rates: Sequence[float],
-        n_ctx: int,
-    ) -> List[float]:
-        """ICOUNT bandwidth sharing: water-fill capacity across threads.
-
-        ICOUNT fetches for the least-occupying threads first, which drives
-        per-thread throughput towards equality: every thread gets
-        ``min(unconstrained_rate, level)`` with the level chosen so the
-        binding capacity constraint is just met.
-        """
-
-        def feasible(level: float) -> bool:
-            capped = [min(r, level) for r in rates]
-            return self._bandwidth_scale(profiles, solo, capped, n_ctx) >= 1.0
-
-        if self._bandwidth_scale(profiles, solo, rates, n_ctx) >= 1.0:
-            return list(rates)
-        lo, hi = 0.0, max(rates)
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        return [min(r, lo) for r in rates]
+            hi = mid
+    return [min(r, lo) for r in rates]
 
 
 @dataclass(frozen=True)
 class CoreBatchStatics:
-    """Latency-independent vectors for one core's resident threads.
+    """Latency-independent terms for one core's resident threads.
 
-    Produced by :meth:`IntervalCoreModel.batch_statics`; consumed by the
-    chip solver's batch kernel (:mod:`repro.interval.contention`), which
-    recomputes only the latency-dependent DRAM term per bisection step:
+    Produced by :meth:`IntervalCoreModel.batch_statics` once per core and
+    chip solve.  :meth:`IntervalCoreModel.results_at` turns them into the
+    per-thread results at one latency; the chip solver's batch kernel
+    (:mod:`repro.interval.contention`) computes only chip traffic from them
+    per bisection step:
 
     ``cpi(L) = static_cpi + dram_mpi * L_cycles / mlp`` and
     ``rate = (1 / cpi) * duty_cycle``, followed by the per-core bandwidth
@@ -645,9 +528,12 @@ class CoreBatchStatics:
 
     is_out_of_order: bool
     frequency_ghz: float
+    n_contexts: int  # concurrently resident contexts (summed duty, rounded)
+    water_fill: bool  # ICOUNT SMT: rates need the water-fill, not the kernel
     pipe_denominator: float  # width*issue_eff (OoO) or issue_eff (in-order)
     ldst_denominator: float
     alu_denominator: float
+    terms: List[Tuple[float, float, float, float, float]]  # base..llchit CPI
     static_cpi: List[float]  # base+branch+l1i+l2hit+llchit, scalar sum order
     dram_mpi: List[float]  # memory misses per instruction (clamped)
     mlp: List[float]  # effective memory-level parallelism (1.0 in-order)

@@ -8,6 +8,10 @@ warm-start hints good and garbage, the batched entry point, and the
 study-level slab path.
 """
 
+import gc
+import hashlib
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -105,6 +109,89 @@ class TestGoldenEquivalence:
         placement = _placement(design, mix, smt=smt)
         vector = model._solve_vectorized(placement, smt, None)
         assert vector == model._solve(placement, smt)
+
+
+class TestStaticsBranches:
+    """Deterministic coverage of the branches ``results_at`` reproduces.
+
+    Each case pins a placement shape the random placements above reach
+    only by chance, checks that the shape really occurs, and requires the
+    vectorized solver and ``evaluate_batch`` to match the scalar reference.
+    The digest of the reference result's repr pins the values themselves,
+    so a change that moved both solvers in step would still fail here.
+    """
+
+    CASES = [
+        # (design, threads, smt, fetch policy, repr digest)
+        ("4B", 12, False, "roundrobin", "57baf3bcbfc2600d"),  # duty 1/3
+        ("4B", 24, False, "roundrobin", "3b5dede87fd09dcd"),  # duty 1/6
+        ("20s", 24, True, "roundrobin", "cfd1b3481e00e9e3"),  # in-order SMT
+        ("4B", 24, True, "icount", "231a94d5c20b8c48"),  # ICOUNT, 6 per core
+    ]
+
+    @pytest.mark.parametrize("name,n,smt,policy,digest", CASES)
+    def test_vector_and_batch_match_reference(
+        self, monkeypatch, name, n, smt, policy, digest
+    ):
+        monkeypatch.delenv(SOLVER_ENV, raising=False)
+        design = get_design(name)
+        model = ChipModel(design, fetch_policy=policy)
+        placement = _placement(design, heterogeneous_mixes(n)[0], smt=smt)
+        cores = list(zip(design.cores, placement.core_threads))
+        if not smt:
+            assert any(t.duty_cycle < 1.0 for _c, ts in cores for t in ts)
+        elif policy == "icount":
+            assert any(len(ts) > 1 for _c, ts in cores)
+        else:
+            assert any(
+                len(ts) > 1 and not c.is_out_of_order for c, ts in cores
+            )
+        reference = model._solve(placement, smt)
+        assert hashlib.sha256(repr(reference).encode()).hexdigest()[:16] == digest
+        assert model._solve_vectorized(placement, smt, None) == reference
+        assert evaluate_batch([(model, placement, smt, None)]) == [reference]
+
+
+class TestBoundedState:
+    def test_model_state_does_not_grow_with_points(self):
+        """A second slab of new points leaves no solver state behind.
+
+        The first slab warms every cache; only the second runs under
+        tracemalloc, and what its allocations from the interval package
+        still hold afterwards is the growth.  The profiles' miss-curve
+        memos are cleared before the snapshot: they are bounded per curve
+        by design, and their float keys come from the share arithmetic in
+        this package.
+        """
+        design = get_design("4B")
+        model = ChipModel(design)
+        slabs = ([], [])  # odd and even thread counts: disjoint placements
+        for n in range(1, 25):
+            for smt in (True, False):
+                if not smt and n <= design.num_cores:
+                    continue  # same placement as with SMT
+                for mix in heterogeneous_mixes(n)[:9]:
+                    slabs[n % 2 == 0].append(
+                        (model, _placement(design, mix, smt), smt, None)
+                    )
+        assert len(slabs[0]) > 150 and len(slabs[1]) > 150
+        evaluate_batch(slabs[0])
+        tracemalloc.start()
+        try:
+            evaluate_batch(slabs[1])
+            for _model, placement, _smt, _hint in slabs[1]:
+                for threads in placement.core_threads:
+                    for t in threads:
+                        for curve in (t.profile.icurve, t.profile.dcurve):
+                            getattr(curve, "_mpki_memo", {}).clear()
+            gc.collect()
+            snap = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, "*/repro/interval/*")]
+            )
+        finally:
+            tracemalloc.stop()
+        grown = sum(stat.size for stat in snap.statistics("filename"))
+        assert grown <= 16 * 1024
 
 
 class TestWarmStart:
