@@ -21,45 +21,39 @@ Memory latencies come from the shared :class:`~repro.memory.hierarchy.
 MemoryHierarchy`, so co-running threads and other cores contend for L2/LLC
 capacity, DRAM banks and the off-chip bus with real state.
 
-Two fast paths keep this tier usable for cross-validation sweeps without
-changing a single reported number:
+The tier is kept fast enough for cross-validation sweeps by three means,
+none of which changes a reported number (the golden fingerprints in
+``tests/test_sim_fastpath.py`` pin every statistic):
 
-* the per-cycle work loops bind hot attributes to locals, the functional-
-  unit issue probe hops a path-compressed next-free-cycle skip list instead
-  of scanning cycle by cycle, and producer completion times live in a flat
+* the step loop reads each thread's trace as flat per-field lists
+  (:class:`~repro.sim.kernel.TraceArrays`) with hot bindings hoisted into
+  locals; the functional-unit issue probe hops a path-compressed
+  next-free-cycle skip list, and producer completion times live in a flat
   ring buffer;
 * **idle-cycle skipping** (:meth:`PipelineCore.next_event_cycle`): when no
   thread can commit, dispatch or finish before some cycle T, the clock
-  advances straight to T.  The skip is *exact* — between the current cycle
-  and T the naive loop would not change any architectural or statistical
-  state — so fast-forwarded runs are bit-identical to naive ones (a golden
-  test asserts this across core types and fetch policies).
+  advances straight to T.  Between the current cycle and T a per-cycle
+  step would change no architectural or statistical state, so the skip is
+  exact;
+* :func:`run_lockstep`, the one driver for every multi-core, single-core
+  and sampled run, steps only the cores with an event due and hands a
+  span in which a single core is due to :meth:`PipelineCore.run_until`
+  (fused into one loop for single-thread cores).
 """
 
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.microarch.branch import predictor_for_core
+from repro.microarch.branch import Bimodal, predictor_for_core
 from repro.microarch.config import CoreConfig
-from repro.sim.kernel import FU_CLASSES, TraceArrays, active_kernel, build_trace_arrays
+from repro.sim.kernel import TraceArrays, build_trace_arrays
 from repro.sim.results import CoreSimStats
-from repro.workloads.tracegen import EXEC_LATENCY, TraceInstruction
+from repro.workloads.tracegen import TraceInstruction
 
 #: Ring size for producer completion-time tracking (max dependence distance).
 _DEP_WINDOW = 64
 _DEP_MASK = _DEP_WINDOW - 1
-
-#: Functional-unit class per instruction kind (int ops and branches share
-#: the integer ALUs).
-_FU_CLASS = {
-    "int": "int",
-    "branch": "int",
-    "load": "ldst",
-    "store": "ldst",
-    "muldiv": "muldiv",
-    "fp": "fp",
-}
 
 #: Issue-slot tables are pruned once they hold this many distinct cycles.
 _FU_PRUNE_LIMIT = 4096
@@ -68,24 +62,54 @@ _FU_PRUNE_LIMIT = 4096
 _NEVER = (1 << 63) - 1
 
 
+def _spill_forward(
+    busy: Dict[int, int], nxt: Dict[int, int], units: int, t: int
+) -> int:
+    """Reserve the first cycle after the saturated cycle ``t`` with a free
+    unit and return it.
+
+    ``busy`` counts issue slots used per cycle; ``nxt`` is the class's
+    next-free skip list: for a saturated cycle ``c``, ``nxt[c]`` points at
+    a later cycle that might still have a free slot.  The walk hops it
+    union-find style and path-compresses every cycle it passed.  Callers
+    take the free-slot fast path themselves and call this only when the
+    ready cycle is full.
+    """
+    path = []
+    used = units
+    while used >= units:
+        path.append(t)
+        t = nxt.get(t, t + 1)
+        used = busy.get(t, 0)
+    for c in path:
+        nxt[c] = t
+    busy[t] = used + 1
+    return t
+
+
 class SimThread:
     """Architectural state of one hardware thread on a core."""
 
     def __init__(
         self,
         thread_id: int,
-        trace: Sequence[TraceInstruction],
+        trace: TraceArrays,
+        predictor: Bimodal,
         warmup_instructions: int = 0,
     ):
         self.thread_id = thread_id
-        self.trace = trace
-        self.trace_len = len(trace)
+        #: The thread's trace as flat per-field lists (see
+        #: :mod:`repro.sim.kernel`); the instruction objects are not kept.
+        self._k = trace
+        self.trace_len = len(trace.dep)
         self.cursor = 0
-        self.warmup_instructions = min(warmup_instructions, max(0, len(trace) - 1))
+        self.warmup_instructions = min(
+            warmup_instructions, max(0, self.trace_len - 1)
+        )
         self.stats = CoreSimStats()
         #: Per-thread branch predictor (SMT threads keep private history;
         #: table sharing/aliasing between contexts is not modelled).
-        self.predictor = None  # installed by the owning PipelineCore
+        self.predictor = predictor
         self._warm_snapshot: Optional[Tuple[int, int, int, Dict[str, int]]] = None
         #: Completion cycles of the last _DEP_WINDOW dispatched instructions,
         #: as a flat ring buffer (O(1) lookup at any dependence distance).
@@ -96,13 +120,27 @@ class SimThread:
         self.fetch_stalled_until = 0
         self.last_fetch_line = -1
         self.done_cycle: Optional[int] = None
-        #: Batched per-field trace arrays, installed by the owning core when
-        #: the numpy kernel is active (see :mod:`repro.sim.kernel`).
-        self._k: Optional[TraceArrays] = None
-
-    @property
-    def finished(self) -> bool:
-        return self.cursor >= self.trace_len and not self.rob
+        # Hot bindings for the step loops, packed into one tuple (single
+        # unpack per thread entry).  Every object here keeps its identity
+        # for the thread's lifetime.
+        self._kctx = (
+            trace.exec_lat,
+            trace.fu_code,
+            trace.mem_code,
+            trace.pc,
+            trace.fetch_line,
+            trace.address,
+            trace.l1d_set,
+            trace.l1d_tag,
+            trace.dep,
+            trace.taken,
+            self.stats,
+            self.stats.level_hits,
+            self._comp_ring,
+            self.rob.append,
+            predictor.update,
+            self.warmup_instructions,
+        )
 
     def maybe_snapshot(self, now: int) -> None:
         """Record the warm-up boundary so cold misses are excluded."""
@@ -138,12 +176,6 @@ class SimThread:
         c = self._comp_ring[(self._comp_count - dep_distance) & _DEP_MASK]
         return c if c > now else now
 
-    def record_completion(self, completion: int) -> None:
-        """Append one dispatched instruction's completion cycle."""
-        count = self._comp_count
-        self._comp_ring[count & _DEP_MASK] = completion
-        self._comp_count = count + 1
-
 
 class PipelineCore:
     """One core (out-of-order or in-order) executing up to N SMT threads."""
@@ -156,7 +188,6 @@ class PipelineCore:
         traces: Sequence[Sequence[TraceInstruction]],
         warmup_instructions: int = 0,
         fetch_policy: str = "roundrobin",
-        kernel: Optional[str] = None,
     ):
         if fetch_policy not in ("roundrobin", "icount"):
             raise ValueError(
@@ -174,151 +205,65 @@ class PipelineCore:
         self.core = core
         self.core_index = core_index
         self.hierarchy = hierarchy
+        l1d = hierarchy.core_caches[core_index].l1d
+        # Instruction fetches dedup at the core's own L1I line granularity.
         self.threads = [
-            SimThread(i, t, warmup_instructions) for i, t in enumerate(traces)
+            SimThread(
+                i,
+                build_trace_arrays(
+                    t, core.l1i.line_bytes, l1d._line_bytes, l1d._num_sets
+                ),
+                predictor_for_core(core.is_out_of_order),
+                warmup_instructions,
+            )
+            for i, t in enumerate(traces)
         ]
-        for thread in self.threads:
-            thread.predictor = predictor_for_core(core.is_out_of_order)
         self.cycle = 0
         self._n_threads = len(self.threads)
         self._is_ooo = core.is_out_of_order
         self._width = core.width
         self._freq = core.frequency_ghz
-        #: Instruction fetches dedup at the core's own L1I line granularity.
-        self._l1i_line_bytes = core.l1i.line_bytes
         self._rob_share = (
             core.rob_size // len(self.threads) if core.is_out_of_order else core.width * 2
         )
         fu = core.functional_units
-        #: Per-cycle issue-slot usage per functional-unit class.  Issue picks
+        #: Per-cycle issue-slot usage per functional-unit class, indexed by
+        #: the codes in :data:`repro.sim.kernel.FU_CLASSES`.  Issue picks
         #: the first cycle >= ready with a free slot (hole-filling, so an
         #: instruction that becomes ready early is not blocked behind
         #: reservations made for later-ready instructions — proper
         #: out-of-order issue).
-        self._fu_units: Dict[str, int] = {
-            "int": fu.int_alu,
-            "ldst": fu.load_store,
-            "muldiv": fu.mul_div,
-            "fp": fu.fp,
-        }
-        self._fu_busy: Dict[str, Dict[int, int]] = {k: {} for k in self._fu_units}
-        #: Next-free-cycle skip list per class: for a saturated cycle ``c``,
-        #: ``_fu_next[cls][c]`` points at the next cycle that might still
-        #: have a free slot (path-compressed as probes walk it).
-        self._fu_next: Dict[str, Dict[int, int]] = {k: {} for k in self._fu_units}
-        #: Which stepping kernel this core runs ("numpy" or "scalar"); both
-        #: are bit-identical (golden-tested).  See :mod:`repro.sim.kernel`.
-        self.kernel = active_kernel(kernel)
-        if self.kernel == "numpy":
-            self._install_numpy_kernel()
-
-    def _install_numpy_kernel(self) -> None:
-        """Precompute batched trace arrays and bind the fused step loop.
-
-        The string-keyed ``_fu_units``/``_fu_busy``/``_fu_next`` dicts stay
-        canonical (unit tests and :meth:`_prune_fu_state` use them); the
-        code-indexed lists below alias the *same* dict objects, so both
-        kernels share one set of issue-slot tables and pruning keeps
-        working in place.
-        """
-        caches = self.hierarchy.core_caches[self.core_index]
-        l1d = caches.l1d
-        self._l1d = l1d
-        for thread in self.threads:
-            k = build_trace_arrays(
-                thread.trace, self._l1i_line_bytes, l1d._line_bytes, l1d._num_sets
-            )
-            thread._k = k
-            # Per-thread hot bindings for the fused loops, packed into one
-            # tuple (single unpack per thread entry).  Every object here
-            # keeps its identity for the thread's lifetime.
-            thread._kctx = (
-                k.exec_lat,
-                k.fu_code,
-                k.mem_code,
-                k.pc,
-                k.fetch_line,
-                k.address,
-                k.l1d_set,
-                k.l1d_tag,
-                k.dep,
-                k.taken,
-                thread.stats,
-                thread.stats.level_hits,
-                thread._comp_ring,
-                thread.rob.append,
-                thread.predictor.update,
-                thread.warmup_instructions,
-            )
-        self._fu_units_by_code = [self._fu_units[c] for c in FU_CLASSES]
-        self._fu_busy_by_code = [self._fu_busy[c] for c in FU_CLASSES]
-        self._fu_next_by_code = [self._fu_next[c] for c in FU_CLASSES]
-        #: With prefetchers installed every data access (hits included) must
-        #: flow through the hierarchy so the prefetcher observes it; without
-        #: them the L1D lookup is inlined against precomputed set/tag.
-        self._inline_l1 = not self.hierarchy._has_prefetchers
-        #: Same expression the scalar path evaluates per L1 load hit
-        #: (``int(result.latency_ns * freq)``), computed once.
-        self._l1_load_cycles = int(
-            self.hierarchy._d_l1[self.core_index].latency_ns * self._freq
-        )
-        #: Hot bindings for :meth:`_step_numpy`, packed into one tuple so
-        #: each step pays a single attribute load + unpack instead of ~16
-        #: attribute chains.  Everything here is stable for the core's
-        #: lifetime (the FU tables are compacted in place, never replaced).
-        hierarchy = self.hierarchy
+        self._fu_units: List[int] = [fu.int_alu, fu.load_store, fu.mul_div, fu.fp]
+        self._fu_busy: List[Dict[int, int]] = [{} for _ in self._fu_units]
+        #: Next-free-cycle skip list per class (see :func:`_spill_forward`).
+        self._fu_next: List[Dict[int, int]] = [{} for _ in self._fu_units]
+        #: Hot bindings for :meth:`step` and :meth:`_run_span_1t`, packed
+        #: into one tuple so each step pays a single attribute load + unpack
+        #: instead of ~16 attribute chains.  Everything here is stable for
+        #: the core's lifetime (the FU tables are compacted in place, never
+        #: replaced).  With prefetchers installed every data access (hits
+        #: included) must flow through the hierarchy so the prefetcher
+        #: observes it; without them the L1D lookup is inlined against the
+        #: precomputed set/tag.
         self._step_ctx = (
             hierarchy.instruction_access,
             hierarchy.data_access,
             hierarchy.data_l1_miss,
             hierarchy.demand_counts,
-            self._inline_l1,
+            not hierarchy._has_prefetchers,
             l1d,
             l1d._sets,
             l1d.stats,
             l1d._assoc,
             l1d._num_sets,
             l1d._line_bytes,
-            self._l1_load_cycles,
-            self._fu_units_by_code,
-            self._fu_busy_by_code,
-            self._fu_next_by_code,
-            self.core.frontend_depth,
+            # The hierarchy's L1 load latency in this core's cycles.
+            int(hierarchy._d_l1[core_index].latency_ns * self._freq),
+            self._fu_units,
+            self._fu_busy,
+            self._fu_next,
+            core.frontend_depth,
         )
-        self.step = self._step_numpy  # type: ignore[method-assign]
-
-    # ------------------------------------------------------------------ #
-    # helpers                                                             #
-    # ------------------------------------------------------------------ #
-
-    def _now_ns(self) -> float:
-        return self.cycle / self._freq
-
-    def _fu_class(self, kind: str) -> str:
-        return _FU_CLASS.get(kind, "int")
-
-    def _acquire_fu(self, kind: str, ready: int) -> int:
-        """Earliest cycle >= ``ready`` with a free unit of this class."""
-        cls = _FU_CLASS[kind]
-        units = self._fu_units[cls]
-        busy = self._fu_busy[cls]
-        if len(busy) > _FU_PRUNE_LIMIT:
-            self._prune_fu_state()
-        t = ready
-        used = busy.get(t, 0)
-        if used >= units:
-            # Saturated: hop the next-free skip list (union-find style with
-            # path compression) instead of probing one cycle at a time.
-            nxt = self._fu_next[cls]
-            path = []
-            while used >= units:
-                path.append(t)
-                t = nxt.get(t, t + 1)
-                used = busy.get(t, 0)
-            for c in path:
-                nxt[c] = t
-        busy[t] = used + 1
-        return t
 
     def _prune_fu_state(self) -> None:
         """Drop issue-slot bookkeeping for cycles already in the past.
@@ -330,185 +275,31 @@ class PipelineCore:
         so dropping them never changes an issue decision.
         """
         now = self.cycle
-        for cls, busy in self._fu_busy.items():
+        for busy, nxt in zip(self._fu_busy, self._fu_next):
             if len(busy) <= _FU_PRUNE_LIMIT // 2:
                 continue
             kept = {c: n for c, n in busy.items() if c >= now}
             busy.clear()
             busy.update(kept)
-            nxt = self._fu_next[cls]
             kept_next = {c: t for c, t in nxt.items() if c >= now}
             nxt.clear()
             nxt.update(kept_next)
-
-    def _fetch_line(self, thread: SimThread, instr: TraceInstruction) -> None:
-        """Model instruction-cache behaviour at cache-line granularity."""
-        line = instr.pc // self._l1i_line_bytes
-        if line == thread.last_fetch_line:
-            return
-        thread.last_fetch_line = line
-        self._fetch_miss(thread, instr.pc)
-
-    def _fetch_miss(self, thread: SimThread, pc: int) -> None:
-        """Charge the i-cache for a new fetch line (slow path)."""
-        result = self.hierarchy.instruction_access(
-            self.core_index, pc, self.cycle / self._freq
-        )
-        if result.level != "l1":
-            # The front end runs ahead and next-line-prefetches sequential
-            # code, hiding most of an i-miss behind the fetch buffer; only a
-            # fraction of the latency reaches dispatch.
-            delay = int(result.latency_ns * self._freq * 0.4) + 1
-            stalled = self.cycle + delay
-            if stalled > thread.fetch_stalled_until:
-                thread.fetch_stalled_until = stalled
 
     # ------------------------------------------------------------------ #
     # one cycle                                                           #
     # ------------------------------------------------------------------ #
 
     def step(self) -> None:
-        """Advance the core by one cycle (commit, then dispatch)."""
-        now = self.cycle
-        width = self._width
-        threads = self.threads
+        """Advance the core by one cycle: commit, then dispatch.
 
-        # Commit: in order per thread, up to `width` per thread; a thread
-        # whose trace and ROB both drained records its finish cycle.
-        for thread in threads:
-            rob = thread.rob
-            if rob:
-                retired = 0
-                while retired < width and rob and rob[0] <= now:
-                    rob.popleft()
-                    retired += 1
-            if (
-                not rob
-                and thread.done_cycle is None
-                and thread.cursor >= thread.trace_len
-            ):
-                thread.done_cycle = now
-                thread.finalize_stats(now)
-
-        # Dispatch: share the core width across threads.  Round-robin
-        # rotates priority cycle by cycle [24]; ICOUNT [31] gives the
-        # thread with the fewest in-flight instructions first pick, which
-        # keeps fast-moving threads moving.
-        budget = width
-        n = self._n_threads
-        if n == 1:
-            order = threads
-        elif self.fetch_policy == "icount":
-            order = sorted(threads, key=_rob_depth)
-        else:
-            start = now % n
-            order = threads[start:] + threads[:start]
-        rob_share = self._rob_share
-        is_ooo = self._is_ooo
-        dispatch = self._dispatch
-        for thread in order:
-            if budget <= 0:
-                break
-            rob = thread.rob
-            trace = thread.trace
-            tlen = thread.trace_len
-            while (
-                budget > 0
-                and thread.cursor < tlen
-                and now >= thread.fetch_stalled_until
-                and len(rob) < rob_share
-            ):
-                if (
-                    not is_ooo
-                    and thread.producer_completion(
-                        trace[thread.cursor].dep_distance, now
-                    )
-                    > now
-                ):
-                    # Stall-on-use: the next instruction's input is not ready.
-                    break
-                dispatch(thread, now)
-                budget -= 1
-        self.cycle = now + 1
-
-    def _can_dispatch(self, thread: SimThread, now: int) -> bool:
-        if thread.cursor >= thread.trace_len:
-            return False
-        if now < thread.fetch_stalled_until:
-            return False
-        if len(thread.rob) >= self._rob_share:
-            return False
-        if not self._is_ooo:
-            # Stall-on-use: the next instruction must have its input ready.
-            instr = thread.trace[thread.cursor]
-            if thread.producer_completion(instr.dep_distance, now) > now:
-                return False
-        return True
-
-    def _dispatch(self, thread: SimThread, now: int) -> None:
-        cursor = thread.cursor
-        instr = thread.trace[cursor]
-        thread.cursor = cursor + 1
-        line = instr.pc // self._l1i_line_bytes
-        if line != thread.last_fetch_line:
-            thread.last_fetch_line = line
-            self._fetch_miss(thread, instr.pc)
-
-        kind = instr.kind
-        ready = thread.producer_completion(instr.dep_distance, now)
-        issue = self._acquire_fu(kind, ready)
-        latency = EXEC_LATENCY[kind]
-        stats = thread.stats
-        if kind == "load" or kind == "store":
-            freq = self._freq
-            result = self.hierarchy.data_access(
-                self.core_index,
-                instr.address,
-                issue / freq,
-                is_write=(kind == "store"),
-                pc=instr.pc,
-            )
-            level = result.level
-            stats.level_hits[level] = stats.level_hits.get(level, 0) + 1
-            mem_cycles = (
-                int(result.latency_ns * freq)
-                if kind == "load"
-                else 1  # stores retire through the write buffer
-            )
-            total = latency + mem_cycles
-            completion = issue + (total if total > 1 else 1)
-        else:
-            completion = issue + latency
-
-        if kind == "branch":
-            # A real predictor resolves the trace's concrete outcome; the
-            # front end redirects once the branch executes.
-            if thread.predictor.update(instr.pc, instr.taken):
-                stats.branch_mispredicts += 1
-                redirect = completion + self.core.frontend_depth
-                if redirect > thread.fetch_stalled_until:
-                    thread.fetch_stalled_until = redirect
-
-        thread.record_completion(completion)
-        thread.rob.append(completion)
-        stats.instructions += 1
-        if thread._warm_snapshot is None:
-            thread.maybe_snapshot(now)
-
-    # ------------------------------------------------------------------ #
-    # batched stepping kernel                                             #
-    # ------------------------------------------------------------------ #
-
-    def _step_numpy(self) -> None:
-        """One cycle via the batched kernel — bit-identical to :meth:`step`.
-
-        Same commit-then-dispatch structure, but the dispatch loop reads
-        the precomputed per-field arrays (:class:`~repro.sim.kernel.
-        TraceArrays`) instead of trace objects, inlines producer lookup,
-        functional-unit issue and (without prefetchers) the L1D probe, and
-        keeps per-thread state in locals, written back once per thread.
-        Every state mutation happens in the same order as the scalar path,
-        so shared-hierarchy interleavings are preserved exactly.
+        Commit retires in order per thread, up to ``width`` per thread, and
+        a thread whose trace and ROB both drained records its finish cycle.
+        Dispatch shares the core width across threads: round-robin rotates
+        priority cycle by cycle [24]; ICOUNT [31] gives the thread with the
+        fewest in-flight instructions first pick, which keeps fast-moving
+        threads moving.  The dispatch loop keeps per-thread state in
+        locals, written back once per thread, and inlines producer lookup,
+        functional-unit issue and (without prefetchers) the L1D probe.
         """
         now = self.cycle
         width = self._width
@@ -626,19 +417,12 @@ class PipelineCore:
                 if len(busy) > _FU_PRUNE_LIMIT:
                     self._prune_fu_state()
                 units = fu_units[fu]
-                t = ready
-                used = busy.get(t, 0)
-                if used >= units:
-                    nxt = fu_next_tables[fu]
-                    path = []
-                    while used >= units:
-                        path.append(t)
-                        t = nxt.get(t, t + 1)
-                        used = busy.get(t, 0)
-                    for c in path:
-                        nxt[c] = t
-                busy[t] = used + 1
-                issue = t
+                used = busy.get(ready, 0)
+                if used < units:
+                    busy[ready] = used + 1
+                    issue = ready
+                else:
+                    issue = _spill_forward(busy, fu_next_tables[fu], units, ready)
 
                 mem = k_mem[cursor]
                 if mem == 0:
@@ -724,8 +508,8 @@ class PipelineCore:
 
         "Act" means: retire at least one ROB entry, record a thread finish,
         or dispatch at least one instruction.  Between the current cycle
-        and the returned cycle the naive per-cycle loop provably does
-        nothing — per-thread gating values (ROB head completion, fetch
+        and the returned cycle a step per cycle provably does nothing —
+        per-thread gating values (ROB head completion, fetch
         stall deadline, producer completion for stall-on-use) only change
         when a commit or dispatch happens — so advancing the clock straight
         to the returned cycle is bit-identical to stepping through.
@@ -751,7 +535,7 @@ class PipelineCore:
                 ready = thread.fetch_stalled_until
                 if not is_ooo:
                     pr = thread.producer_completion(
-                        thread.trace[thread.cursor].dep_distance, now
+                        thread._k.dep[thread.cursor], now
                     )
                     if pr > ready:
                         ready = pr
@@ -767,12 +551,12 @@ class PipelineCore:
 
         Returns the next event cycle (the drain sentinel when finished).
         The caller must guarantee that no other core acts in
-        ``[self.cycle, limit)`` — the lockstep driver uses this to batch a
-        solo-due core's whole span into one call, which is exactly the
-        naive interleaving because every other core's step would be a
+        ``[self.cycle, limit)`` — :func:`run_lockstep` uses this to batch
+        a solo-due core's whole span into one call, which is exactly the
+        per-cycle interleaving because every other core's step would be a
         no-op over that span.
         """
-        if self._n_threads == 1 and self.kernel == "numpy":
+        if self._n_threads == 1:
             return self._run_span_1t(limit)
         step = self.step
         next_event = self.next_event_cycle
@@ -784,14 +568,14 @@ class PipelineCore:
             self.cycle = nxt
 
     def _run_span_1t(self, limit: int) -> int:
-        """:meth:`run_until` fused for a single-thread numpy-kernel core.
+        """:meth:`run_until` fused for a single-thread core.
 
         One call runs the whole span — commit, dispatch, and an inlined
         single-thread :meth:`next_event_cycle` per cycle — with every hot
         binding hoisted out of the cycle loop (the per-step prologue is
         the dominant cost once a core runs alone).  The dispatch body is
-        the same as :meth:`_step_numpy`'s, mutation for mutation, and the
-        golden fingerprint suite pins the equivalence.
+        the same as :meth:`step`'s, mutation for mutation, and the golden
+        fingerprint suite pins the equivalence.
         """
         thread = self.threads[0]
         core_index = self.core_index
@@ -848,7 +632,7 @@ class PipelineCore:
         now = self.cycle
 
         while True:
-            # --- commit (identical to _step_numpy's commit phase) ---
+            # --- commit (identical to step's commit phase) ---
             if rob_len:
                 retired = 0
                 while retired < width and rob_len and rob[0] <= now:
@@ -867,7 +651,7 @@ class PipelineCore:
                 self.cycle = now + 1
                 return _NEVER
 
-            # --- dispatch (same body as _step_numpy) ---
+            # --- dispatch (same body as step) ---
             budget = width
             while (
                 budget > 0
@@ -902,19 +686,12 @@ class PipelineCore:
                     self.cycle = now
                     self._prune_fu_state()
                 units = fu_units[fu]
-                t = ready
-                used = busy.get(t, 0)
-                if used >= units:
-                    nxt_table = fu_next_tables[fu]
-                    path = []
-                    while used >= units:
-                        path.append(t)
-                        t = nxt_table.get(t, t + 1)
-                        used = busy.get(t, 0)
-                    for c in path:
-                        nxt_table[c] = t
-                busy[t] = used + 1
-                issue = t
+                used = busy.get(ready, 0)
+                if used < units:
+                    busy[ready] = used + 1
+                    issue = ready
+                else:
+                    issue = _spill_forward(busy, fu_next_tables[fu], units, ready)
 
                 mem = k_mem[cursor]
                 if mem == 0:
@@ -1049,9 +826,7 @@ class PipelineCore:
         detailed window records in ``stats.level_hits``).
         """
         caches = self.hierarchy.core_caches[self.core_index]
-        l1i, l1d, l2 = caches.l1i, caches.l1d, caches.l2
         llc = self.hierarchy.llc
-        line_bytes = self._l1i_line_bytes
         counts = list(per_thread)
         if len(counts) != len(self.threads):
             raise ValueError(
@@ -1059,12 +834,11 @@ class PipelineCore:
                 f"{len(self.threads)} threads"
             )
         out: List[Tuple[int, int, int, int, int]] = []
-        l1i_access = l1i.access
-        l1d_access = l1d.access
-        l2_access = l2.access
+        l1i_access = caches.l1i.access
+        l1d_access = caches.l1d.access
+        l2_access = caches.l2.access
         llc_access = llc.access
         for thread, quota in zip(self.threads, counts):
-            trace = thread.trace
             end = min(thread.trace_len, thread.cursor + quota)
             predictor_update = thread.predictor.update
             last_line = thread.last_fetch_line
@@ -1073,58 +847,33 @@ class PipelineCore:
             dram = 0
             mispredicts = 0
             k = thread._k
-            if k is not None:
-                # Batched-kernel variant of the loop below: identical access
-                # sequence, driven by the precomputed per-field arrays.
-                k_mem = k.mem_code
-                k_pc = k.pc
-                k_fline = k.fetch_line
-                k_addr = k.address
-                k_taken = k.taken
-                for cursor in range(thread.cursor, end):
-                    line = k_fline[cursor]
-                    if line != last_line:
-                        last_line = line
-                        pc = k_pc[cursor]
-                        if not l1i_access(pc):
-                            if not l2_access(pc):
-                                llc_access(pc)
-                    mem = k_mem[cursor]
-                    if mem == 1 or mem == 2:
-                        is_write = mem == 2
-                        address = k_addr[cursor]
-                        if not l1d_access(address, is_write):
-                            if l2_access(address, is_write):
-                                l2_hits += 1
-                            elif llc_access(address, is_write):
-                                llc_hits += 1
-                            else:
-                                dram += 1
-                    elif mem == 3:
-                        if predictor_update(k_pc[cursor], k_taken[cursor]):
-                            mispredicts += 1
-            else:
-                for cursor in range(thread.cursor, end):
-                    instr = trace[cursor]
-                    line = instr.pc // line_bytes
-                    if line != last_line:
-                        last_line = line
-                        if not l1i_access(instr.pc):
-                            if not l2_access(instr.pc):
-                                llc_access(instr.pc)
-                    kind = instr.kind
-                    if kind == "load" or kind == "store":
-                        is_write = kind == "store"
-                        if not l1d_access(instr.address, is_write):
-                            if l2_access(instr.address, is_write):
-                                l2_hits += 1
-                            elif llc_access(instr.address, is_write):
-                                llc_hits += 1
-                            else:
-                                dram += 1
-                    elif kind == "branch":
-                        if predictor_update(instr.pc, instr.taken):
-                            mispredicts += 1
+            k_mem = k.mem_code
+            k_pc = k.pc
+            k_fline = k.fetch_line
+            k_addr = k.address
+            k_taken = k.taken
+            for cursor in range(thread.cursor, end):
+                line = k_fline[cursor]
+                if line != last_line:
+                    last_line = line
+                    pc = k_pc[cursor]
+                    if not l1i_access(pc):
+                        if not l2_access(pc):
+                            llc_access(pc)
+                mem = k_mem[cursor]
+                if mem == 1 or mem == 2:
+                    is_write = mem == 2
+                    address = k_addr[cursor]
+                    if not l1d_access(address, is_write):
+                        if l2_access(address, is_write):
+                            l2_hits += 1
+                        elif llc_access(address, is_write):
+                            llc_hits += 1
+                        else:
+                            dram += 1
+                elif mem == 3:
+                    if predictor_update(k_pc[cursor], k_taken[cursor]):
+                        mispredicts += 1
             out.append((end - thread.cursor, l2_hits, llc_hits, dram, mispredicts))
             thread.cursor = end
             thread.last_fetch_line = last_line
@@ -1134,39 +883,88 @@ class PipelineCore:
     # run loop                                                            #
     # ------------------------------------------------------------------ #
 
-    @property
-    def finished(self) -> bool:
-        return all(t.finished for t in self.threads)
-
-    def run(self, max_cycles: int = 50_000_000, fast_forward: bool = True) -> None:
-        """Run until every thread has drained its trace.
-
-        ``fast_forward`` enables exact idle-cycle skipping (see
-        :meth:`next_event_cycle`); disabling it steps the naive per-cycle
-        loop — results are bit-identical either way.
-        """
-        threads = self.threads
-        while any(t.done_cycle is None for t in threads):
-            if self.cycle >= max_cycles:
-                raise RuntimeError(
-                    f"core {self.core_index} exceeded {max_cycles} cycles; "
-                    "deadlocked or trace too long"
-                )
-            if fast_forward:
-                target = self.next_event_cycle()
-                if target > self.cycle:
-                    if target >= max_cycles:
-                        self.cycle = max_cycles
-                        continue  # raises on the next loop check
-                    self.cycle = target
-            self.step()
-        for thread in threads:
-            if thread.done_cycle is None:
-                thread.done_cycle = self.cycle
-                thread.finalize_stats(self.cycle)
+    def run(self, max_cycles: int = 50_000_000) -> None:
+        """Run until every thread has drained its trace (through
+        :func:`run_lockstep`, like a chip of one core)."""
+        run_lockstep([self], max_cycles)
         self.hierarchy.publish_metrics()
 
 
 def _rob_depth(thread: SimThread) -> int:
     """ICOUNT sort key: in-flight instruction count."""
     return len(thread.rob)
+
+
+def run_lockstep(
+    cores: Sequence[PipelineCore], max_cycles: int, stop: int = _NEVER
+) -> List[PipelineCore]:
+    """Step ``cores`` in lockstep until each drains or the ``stop`` bell
+    rings; return the cores that still hold work (empty unless ``stop``
+    rang first).
+
+    Event-driven: the clock jumps between per-core events, and only cores
+    with an event due step, in list order.  Each core's next event
+    depends only on its own state (ROB heads, fetch-stall deadlines,
+    producer readiness), and that state only changes when the core itself
+    steps — so events stay valid while a core waits, and stepping the due
+    cores in list order reproduces the per-cycle interleaving of
+    shared-hierarchy accesses exactly.  A core with no event due would
+    execute a no-op step: commit finds nothing retirable, dispatch nothing
+    eligible, and no shared (hierarchy/DRAM/bus) state is touched.
+
+    When a single core is due before every other core's event, it runs
+    its whole span up to that event (capped by ``stop`` and
+    ``max_cycles``) in one :meth:`PipelineCore.run_until` call, since no
+    other core acts in between; a lone core is the case where that span
+    reaches its drain.  A drained core is recognised by its event
+    reaching the drain sentinel, so the loop never scans thread states.
+    No core steps at a cycle at or past ``stop``; an event at or past
+    ``max_cycles`` raises :class:`RuntimeError`.
+    """
+    active = list(cores)
+    events = [c.next_event_cycle() for c in active]
+    while active:
+        # Earliest event, second-earliest, and whether the earliest is
+        # unique (one scan; core counts are small).
+        target = _NEVER
+        second = _NEVER
+        for ev in events:
+            if ev < target:
+                second = target
+                target = ev
+            elif ev < second:
+                second = ev
+        if target >= max_cycles:
+            raise RuntimeError(
+                f"simulation exceeded {max_cycles} cycles without draining"
+            )
+        if target >= stop:
+            break
+        if second > target:
+            # Exactly one core due: batch its whole span up to the next
+            # other-core event into one call.
+            i = events.index(target)
+            core = active[i]
+            core.cycle = target
+            ev = core.run_until(min(second, stop, max_cycles))
+            if ev == _NEVER:
+                del active[i]
+                del events[i]
+            else:
+                events[i] = ev
+            continue
+        # Several cores due at `target`: step them in list order.
+        i = 0
+        while i < len(active):
+            if events[i] <= target:
+                core = active[i]
+                core.cycle = target
+                core.step()
+                ev = core.next_event_cycle()
+                if ev == _NEVER:
+                    del active[i]
+                    del events[i]
+                    continue
+                events[i] = ev
+            i += 1
+    return active

@@ -2,8 +2,9 @@
 
 Composes :class:`~repro.sim.core.PipelineCore` instances with one shared
 :class:`~repro.memory.hierarchy.MemoryHierarchy` and steps all cores in
-lockstep cycles, so LLC capacity, DRAM banks and the off-chip bus are
-contended with real state and real timing.
+lockstep cycles (:func:`~repro.sim.core.run_lockstep`), so LLC capacity,
+DRAM banks and the off-chip bus are contended with real state and real
+timing.
 
 This is the detailed tier: use it for validation, microbenchmarks and unit
 tests.  The design-space study (Figures 3-17) runs on the interval tier,
@@ -15,11 +16,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.designs import ChipDesign
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim.core import _NEVER, PipelineCore
+from repro.sim.core import PipelineCore, run_lockstep
 from repro.sim.results import CoreSimStats
 from repro.util import check_positive
 from repro.workloads.profiles import BenchmarkProfile
-from repro.workloads.tracegen import TraceGenerator, TraceInstruction
+from repro.workloads.tracegen import TraceGenerator
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,6 @@ class MulticoreSimulator:
     ``fetch_policy`` ("roundrobin"/"icount") selects SMT dispatch priority;
     ``prefetcher`` (None/"nextline"/"stride") installs per-core data
     prefetchers.  Defaults match the paper's configuration.
-
-    ``kernel`` picks the stepping implementation ("numpy"/"scalar", both
-    bit-identical; default resolves ``$REPRO_SIM_KERNEL``) — see
-    :mod:`repro.sim.kernel`.
     """
 
     def __init__(
@@ -67,12 +64,10 @@ class MulticoreSimulator:
         design: ChipDesign,
         fetch_policy: str = "roundrobin",
         prefetcher: Optional[str] = None,
-        kernel: Optional[str] = None,
     ):
         self.design = design
         self.fetch_policy = fetch_policy
         self.prefetcher = prefetcher
-        self.kernel = kernel
 
     def prepare(
         self,
@@ -129,7 +124,6 @@ class MulticoreSimulator:
                     traces,
                     warmup_instructions=warmup_instructions,
                     fetch_policy=self.fetch_policy,
-                    kernel=self.kernel,
                 )
             )
         return hierarchy, cores
@@ -139,24 +133,9 @@ class MulticoreSimulator:
         hierarchy: MemoryHierarchy,
         cores: List[PipelineCore],
         max_cycles: int = 50_000_000,
-        fast_forward: bool = True,
     ) -> SimulationResult:
-        """Step prepared ``cores`` in lockstep until every trace drains.
-
-        ``fast_forward`` enables exact idle-cycle skipping: the clock jumps
-        straight to the earliest cycle at which *any* core can commit,
-        dispatch or finish, and only cores with an event due are stepped
-        (in list order, exactly as the naive loop would reach them).  A
-        core with no event due would execute a no-op step — commit finds
-        nothing retirable, dispatch nothing eligible, and no shared
-        (hierarchy/DRAM/bus) state is touched — so skipping it is
-        bit-identical to the naive lockstep loop; a golden test asserts
-        equality of every reported statistic between both modes.
-        """
-        if fast_forward:
-            self._execute_fast(cores, max_cycles)
-        else:
-            self._execute_naive(cores, max_cycles)
+        """Step prepared ``cores`` in lockstep until every trace drains."""
+        run_lockstep(cores, max_cycles)
         hierarchy.publish_metrics()
 
         flat: List[Tuple[int, CoreSimStats]] = []
@@ -166,102 +145,10 @@ class MulticoreSimulator:
         return SimulationResult(
             design_name=self.design.name,
             thread_stats=tuple(flat),
-            # The naive loop's cycle counter equals the last-finishing
-            # core's clock, which both modes leave at the same value.
             total_cycles=max(c.cycle for c in cores),
             dram_mean_latency_ns=hierarchy.dram.stats.mean_latency_ns,
             dram_requests=hierarchy.dram.stats.requests,
         )
-
-    @staticmethod
-    def _execute_naive(cores: List[PipelineCore], max_cycles: int) -> None:
-        """Reference lockstep loop: every unfinished core steps every cycle."""
-        cycle = 0
-        while any(not c.finished for c in cores):
-            if cycle >= max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded {max_cycles} cycles without draining"
-                )
-            for core in cores:
-                if not core.finished:
-                    core.step()
-            cycle += 1
-
-    @staticmethod
-    def _execute_fast(cores: List[PipelineCore], max_cycles: int) -> None:
-        """Event-driven lockstep: jump the clock between per-core events.
-
-        Each core's next event depends only on its own state (ROB heads,
-        fetch-stall deadlines, producer readiness), and that state only
-        changes when the core itself steps — so events stay valid while a
-        core waits, and stepping due cores in list order reproduces the
-        naive interleaving of shared-hierarchy accesses exactly.
-
-        Two span batchings on top of the event skip (both still exact):
-        when a *single* core is due before every other core's event, it
-        runs all its cycles up to that event in one
-        :meth:`~repro.sim.core.PipelineCore.run_until` call (no other core
-        would act in between); and a drained core is recognised by its
-        event reaching the drain sentinel, so the loop never scans thread
-        states to detect completion.
-        """
-        active = list(cores)
-        events = [c.next_event_cycle() for c in active]
-        while active:
-            if len(active) == 1:
-                # Solo core: run it to drain (or the cycle cap) directly.
-                core = active[0]
-                if events[0] >= max_cycles:
-                    raise RuntimeError(
-                        f"simulation exceeded {max_cycles} cycles without draining"
-                    )
-                core.cycle = events[0]
-                if core.run_until(max_cycles) != _NEVER:
-                    raise RuntimeError(
-                        f"simulation exceeded {max_cycles} cycles without draining"
-                    )
-                return
-            # Earliest event, second-earliest, and whether the earliest is
-            # unique (one scan; core counts are small).
-            target = _NEVER
-            second = _NEVER
-            for ev in events:
-                if ev < target:
-                    second = target
-                    target = ev
-                elif ev < second:
-                    second = ev
-            if target >= max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded {max_cycles} cycles without draining"
-                )
-            if second > target:
-                # Exactly one core due: batch its whole span up to the next
-                # other-core event into one call.
-                i = events.index(target)
-                core = active[i]
-                core.cycle = target
-                ev = core.run_until(second if second < max_cycles else max_cycles)
-                if ev == _NEVER:
-                    del active[i]
-                    del events[i]
-                else:
-                    events[i] = ev
-                continue
-            # Several cores due at `target`: step them in list order.
-            i = 0
-            while i < len(active):
-                if events[i] <= target:
-                    core = active[i]
-                    core.cycle = target
-                    core.step()
-                    ev = core.next_event_cycle()
-                    if ev == _NEVER:
-                        del active[i]
-                        del events[i]
-                        continue
-                    events[i] = ev
-                i += 1
 
     def run(
         self,

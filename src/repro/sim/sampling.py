@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim.core import PipelineCore, SimThread
+from repro.sim.core import PipelineCore, SimThread, run_lockstep
 
 
 @dataclass(frozen=True)
@@ -960,7 +960,9 @@ def _run_window_cycles(
     distort every shared resource it competes for (LLC capacity, DRAM
     banks, the off-chip bus) — each thread must stay co-resident for the
     same wall-clock interval it would share in a full run.  Threads whose
-    traces drain mid-window stop naturally, exactly as in a full run.
+    traces drain mid-window stop naturally, exactly as in a full run.  The
+    window is the full run's :func:`~repro.sim.core.run_lockstep` with the
+    bell as its ``stop``; the cores still holding work park at the bell.
     """
     active: List[PipelineCore] = []
     for core in cores:
@@ -973,33 +975,7 @@ def _run_window_cycles(
             active.append(core)
     if active:
         end = max(core.cycle for core in active) + span_cycles
-        events = [c.next_event_cycle() for c in active]
-        while active:
-            target = min(events)
-            if target >= max_cycles:
-                raise RuntimeError(
-                    f"sampled simulation exceeded {max_cycles} cycles "
-                    "without draining"
-                )
-            if target >= end:
-                break  # no event left before the bell
-            next_active: List[PipelineCore] = []
-            next_events: List[int] = []
-            for i, core in enumerate(active):
-                if events[i] > target:
-                    next_active.append(core)
-                    next_events.append(events[i])
-                    continue
-                core.cycle = target
-                core.step()
-                if any(
-                    t.cursor < t.trace_len or t.rob for t in core.threads
-                ):
-                    next_active.append(core)
-                    next_events.append(core.next_event_cycle())
-            active = next_active
-            events = next_events
-        for core in active:
+        for core in run_lockstep(active, max_cycles, stop=end):
             core.cycle = end  # pause in-flight work at the bell
     for core in cores:
         for thread in core.threads:
